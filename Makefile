@@ -10,25 +10,32 @@ build:
 test:
 	$(GO) test ./...
 
-# The steward federation stack, the simulation workers (including the
-# stratified certification sampler and the screened n=10k archival-scale
-# smoke), the campaign worker pool, the decode/adjust certification loops,
-# the streaming graph construction, the serving layer (hedged reads,
-# admission, stripe cache), the parallel stream data path, the load
-# generator, the joint-decode federation search, the chaos/WAN injectors,
-# and the federated store (disaster soak) are the concurrency-heavy
-# packages; run them under the race detector.
+# The steward federation stack, the simulation workers (the sliced scan
+# workers, the stratified sampler behind profiles and certification, and
+# the screened n=10k archival-scale smoke), the campaign worker pool, the
+# decode/adjust certification loops, the streaming graph construction,
+# the serving layer (hedged reads, admission, stripe cache), the parallel
+# stream data path, the load generator, the joint-decode federation
+# search, the chaos/WAN injectors, and the federated store (disaster
+# soak) are the concurrency-heavy packages; run them under the race
+# detector. The pipelined data-path packages (archive, serve, fedstore)
+# also run at GOMAXPROCS 1, 2 and 4, since their pipeline widths follow
+# it, and the out-of-order GetStream regression test at 1, 2, 4 and 8.
 race:
 	$(GO) test -race ./internal/steward/ ./internal/sim/ ./internal/obs/ ./internal/campaign/ \
-		./internal/decode/ ./internal/adjust/ ./internal/core/ ./internal/serve/ ./internal/archive/ \
-		./internal/workload/ ./internal/federation/ ./internal/chaos/ ./internal/fedstore/
+		./internal/decode/ ./internal/adjust/ ./internal/core/ \
+		./internal/workload/ ./internal/federation/ ./internal/chaos/
+	$(GO) test -race -cpu 1,2,4 ./internal/archive/ ./internal/serve/ ./internal/fedstore/
+	$(GO) test -race -cpu 1,2,4,8 -run '^TestGetStreamOutOfOrderCompletion$$' ./internal/archive/
 
 vet:
 	$(GO) vet ./...
 
-# fuzz gives the frame codec and the kernel differential batteries (peeling
-# decoder, closed-set defect scan) a short randomized shake on every check;
-# longer sessions: make fuzz FUZZTIME=10m
+# fuzz gives the frame codec and the kernel differential batteries (the
+# incremental peeling kernel, the bit-sliced kernel behind every
+# exhaustive scan and the sampler's residue, the closed-set defect scan)
+# a short randomized shake on every check; longer sessions:
+# make fuzz FUZZTIME=10m
 FUZZTIME ?= 3s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFrameRoundTrip -fuzztime $(FUZZTIME) ./internal/archive/

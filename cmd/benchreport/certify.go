@@ -99,7 +99,7 @@ func certifySection() certifyReport {
 	}
 
 	certStart := time.Now()
-	res, err := sim.SampleStratified(g, certifyK, sim.SampledOptions{Seed: 2006})
+	res, err := sim.SampleStratifiedCtx(context.Background(), g, certifyK, sim.SampledOptions{Seed: 2006})
 	if err != nil {
 		panic("benchreport: sampled certification: " + err.Error())
 	}

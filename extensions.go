@@ -53,7 +53,7 @@ const (
 // reconstruct (the Plank-style metric the paper defers to future work,
 // §5.2).
 func MeasureOverhead(g *Graph, opts OverheadOptions) (OverheadResult, error) {
-	return sim.Overhead(g, opts)
+	return sim.OverheadCtx(context.Background(), g, opts)
 }
 
 // MeasureOverheadCtx is MeasureOverhead with cancellation, checked between
@@ -80,7 +80,7 @@ func AnnualLossProbability(mttdlYears float64) float64 {
 // actual graph under exponential per-device failures and a bounded repair
 // crew, event by event, until the real decoder reports data loss.
 func SimulateLifetime(g *Graph, opts LifetimeOptions) (LifetimeResult, error) {
-	return sim.SimulateLifetime(g, opts)
+	return sim.SimulateLifetimeCtx(context.Background(), g, opts)
 }
 
 // SimulateLifetimeCtx is SimulateLifetime with cancellation, checked

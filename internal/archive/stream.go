@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -232,65 +233,55 @@ func (s *Store) GetStream(ctx context.Context, name string, w io.Writer, opts ..
 	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
+	type job struct {
+		st  int
+		buf []byte // this stripe's payload buffer, acquired before dispatch
+	}
 	type result struct {
-		payload []byte // recycled via pool after the in-order write
+		st      int
+		payload []byte // the job's buffer; recycled after the in-order write
 		stats   GetStats
-		touched map[int]bool
 		err     error
 	}
-	results := make(chan struct {
-		st int
-		result
-	}, o.parallelism)
 	// Buffer pool: parallelism payload buffers bound in-flight memory. The
-	// stripe the writer is waiting on always holds (or is about to
-	// acquire) a buffer, so the pipeline cannot deadlock.
+	// dispatcher takes a buffer before handing out each stripe, so buffers
+	// are held by a contiguous run of stripes starting at the one the
+	// writer waits for; that stripe always owns a buffer, and the pipeline
+	// cannot deadlock however stripes complete (as in putStream).
 	pool := make(chan []byte, o.parallelism)
 	for i := 0; i < o.parallelism; i++ {
 		pool <- make([]byte, 0, cap)
 	}
-	jobs := make(chan int)
+	jobs := make(chan job)
+	// One result slot per worker: a finished worker never waits on the
+	// writer's w.Write.
+	results := make(chan result, o.parallelism)
+	scs := make([]*stripeScratch, o.parallelism)
 	var wg sync.WaitGroup
-	for i := 0; i < o.parallelism; i++ {
+	for i := range scs {
+		scs[i] = s.newScratch()
 		wg.Add(1)
-		go func() {
+		go func(sc *stripeScratch) {
 			defer wg.Done()
-			sc := s.newScratch()
-			for st := range jobs {
-				var buf []byte
-				select {
-				case buf = <-pool:
-				case <-pctx.Done():
-					results <- struct {
-						st int
-						result
-					}{st, result{err: pctx.Err()}}
-					continue
-				}
-				want := min(size-st*cap, cap)
+			for j := range jobs {
+				want := min(size-j.st*cap, cap)
 				var rstats GetStats
-				payload, gerr := s.getStripe(pctx, name, st, want, sc, &rstats)
-				if gerr != nil {
-					pool <- buf[:0]
-					results <- struct {
-						st int
-						result
-					}{st, result{stats: rstats, err: gerr}}
-					continue
-				}
-				buf = append(buf[:0], payload...)
-				results <- struct {
-					st int
-					result
-				}{st, result{payload: buf, stats: rstats, touched: sc.touched}}
+				payload, gerr := s.getStripe(pctx, name, j.st, want, sc, &rstats)
+				results <- result{st: j.st, payload: append(j.buf[:0], payload...), stats: rstats, err: gerr}
 			}
-		}()
+		}(scs[i])
 	}
 	go func() {
 		defer close(jobs)
 		for st := 0; st < stripes; st++ {
+			var buf []byte
 			select {
-			case jobs <- st:
+			case buf = <-pool:
+			case <-pctx.Done():
+				return
+			}
+			select {
+			case jobs <- job{st, buf}:
 			case <-pctx.Done():
 				return
 			}
@@ -304,60 +295,53 @@ func (s *Store) GetStream(ctx context.Context, name string, w io.Writer, opts ..
 	written := 0
 	next := 0
 	pending := map[int]result{}
-	touched := map[int]bool{}
 	var firstErr error
-	flushStats := func(r result) {
-		stats.BlocksRead += r.stats.BlocksRead
-		stats.BlocksRepaired += r.stats.BlocksRepaired
-		stats.CorruptBlocks += r.stats.CorruptBlocks
-		stats.ReadRepairs += r.stats.ReadRepairs
-		stats.Retries += r.stats.Retries
-		stats.Repair.Add(r.stats.Repair)
-		for v := range r.touched {
-			touched[v] = true
-		}
-	}
 	for r := range results {
-		pending[r.st] = r.result
+		pending[r.st] = r
 		for {
 			pr, ok := pending[next]
 			if !ok {
 				break
 			}
 			delete(pending, next)
-			flushStats(pr)
-			if pr.err != nil {
+			stats.BlocksRead += pr.stats.BlocksRead
+			stats.BlocksRepaired += pr.stats.BlocksRepaired
+			stats.CorruptBlocks += pr.stats.CorruptBlocks
+			stats.ReadRepairs += pr.stats.ReadRepairs
+			stats.Retries += pr.stats.Retries
+			stats.Repair.Add(pr.stats.Repair)
+			if firstErr == nil {
+				firstErr = cmp.Or(pr.err, ctx.Err())
 				if firstErr == nil {
-					firstErr = pr.err
-					cancel()
+					n, werr := w.Write(pr.payload)
+					written += n
+					if werr != nil {
+						firstErr = fmt.Errorf("archive: stream %q: %w", name, werr)
+					}
 				}
-			} else if firstErr == nil {
-				n, werr := w.Write(pr.payload)
-				written += n
-				if werr != nil {
-					firstErr = fmt.Errorf("archive: stream %q: %w", name, werr)
+				if firstErr != nil {
 					cancel()
 				}
 			}
-			if pr.payload != nil {
-				pool <- pr.payload[:0]
-			}
+			pool <- pr.payload[:0]
 			next++
 		}
 	}
-	// Stripes that never reached `next` (pipeline cancelled): account their
-	// stats and recycle nothing further.
-	for _, pr := range pending {
-		flushStats(pr)
-		if firstErr == nil && pr.err != nil {
-			firstErr = pr.err
+	if firstErr == nil && next < stripes {
+		// The dispatcher stopped early, which only ctx's cancellation
+		// after the last dispatched stripe was written can cause.
+		firstErr = ctx.Err()
+	}
+	// Every worker has exited (results is closed), so their device sets
+	// are safe to merge.
+	touched := map[int]bool{}
+	for _, sc := range scs {
+		for v := range sc.touched {
+			touched[v] = true
 		}
 	}
 	stats.DevicesAccessed = len(touched)
-	if firstErr != nil {
-		return written, stats, firstErr
-	}
-	return written, stats, nil
+	return written, stats, firstErr
 }
 
 // PutReader ingests an object of unknown size from r.

@@ -35,19 +35,13 @@ func CacheKey(g *graph.Graph, spec Spec) string {
 // making merged Failures independent of shard layout.
 const scanOrderVersion = "rd2"
 
-// scanOrderVersionSliced tags entries computed by the bit-sliced kernel
-// (Spec.Kernel "sliced"). The sliced scan walks the same revolving-door
-// rank order and records identical results, but versioning it separately
-// keeps the kernels' cache populations disjoint: a bug in either kernel
-// can be flushed by bumping one tag without invalidating the other's
-// entries, and a shard computed under one implementation is never
-// attributed to the other.
-const scanOrderVersionSliced = "sl1"
-
 // scanOrderVersionSampled tags sampled-certification entries (KindSampled).
 // Sampled campaigns draw from their own RNG seed domain and record
 // stratified tallies rather than scan results, so their cache population
-// is versioned independently of both exhaustive scan orders.
+// is versioned independently of the exhaustive scan order. Worst-case
+// entries keep "rd2" whichever scan driver wrote them: the bit-sliced
+// scan reproduces the earlier scalar scan's results bit for bit, so its
+// caches stay valid.
 const scanOrderVersionSampled = "st1"
 
 // orderVersion returns the scan-order tag a normalized spec's cache
@@ -55,9 +49,6 @@ const scanOrderVersionSampled = "st1"
 func orderVersion(normSpec Spec) string {
 	if normSpec.Kind == KindSampled {
 		return scanOrderVersionSampled
-	}
-	if normSpec.Kernel == "sliced" {
-		return scanOrderVersionSliced
 	}
 	return scanOrderVersion
 }

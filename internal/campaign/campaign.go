@@ -3,9 +3,9 @@
 // reconstruction-failure profiles of §3 — into durable, resumable units of
 // work. A campaign spec (graph + options) is deterministically sharded:
 // exhaustive cardinalities are cut into contiguous combination-rank ranges
-// via combin.SplitRanges (scanned in revolving-door order by the incremental
-// peeling kernel; see sim.ScanRangeCtx), and Monte Carlo points into
-// fixed-size trial blocks each owning a seeded RNG stream. A
+// via combin.SplitRanges (scanned in revolving-door order by the bit-sliced
+// scan; see sim.ScanRangeCtx), and Monte Carlo points into fixed-size trial
+// blocks each owning a seeded RNG stream (see sim.StratifiedSampler). A
 // worker pool executes shards and journals each completed shard to a
 // crash-safe JSONL file, so Resume skips finished shards and — because
 // every shard is a pure function of its plan entry — produces results
@@ -44,10 +44,11 @@ import (
 type Kind string
 
 const (
-	// KindWorstCase is the exhaustive first-failure search (sim.WorstCase).
+	// KindWorstCase is the exhaustive first-failure search
+	// (sim.WorstCaseCtx).
 	KindWorstCase Kind = "worstcase"
 	// KindProfile is the Monte Carlo reconstruction-failure profile
-	// (sim.FailureProfile).
+	// (sim.FailureProfileCtx).
 	KindProfile Kind = "profile"
 	// KindSampled is the archival-scale sampled certification
 	// (sim.SampleStratifiedCtx): stratified Monte Carlo with a Wilson-CI
@@ -76,14 +77,6 @@ type Spec struct {
 	// Worst-case search fields (KindWorstCase).
 	MaxFailures int  `json:"max_failures,omitempty"`
 	KeepGoing   bool `json:"keep_going,omitempty"`
-
-	// Kernel selects the scan evaluation kernel (KindWorstCase):
-	// "" or "scalar" for the revolving-door scalar kernel, "sliced" for
-	// the bit-sliced 64-lane kernel. Both produce bit-identical results;
-	// the kernel still participates in the cache key through the scan
-	// order version so shards computed under one kernel are never
-	// replayed into the other's campaigns.
-	Kernel string `json:"kernel,omitempty"`
 
 	// Monte Carlo fields (KindProfile and KindSampled). For KindSampled,
 	// Trials is the per-cardinality trial budget the stopping rule may cut
@@ -122,9 +115,6 @@ func (s Spec) normalize(total int) Spec {
 		if s.MaxFailures <= 0 {
 			s.MaxFailures = sim.DefaultMaxFailures
 		}
-		if s.Kernel == string(sim.KernelScalar) || s.Kernel == "scalar" {
-			s.Kernel = ""
-		}
 		s.Trials, s.ExhaustiveLimit, s.MinK, s.Seed = 0, 0, 0, 0
 		s.Epsilon = 0
 	case KindProfile:
@@ -141,7 +131,6 @@ func (s Spec) normalize(total int) Spec {
 			s.MaxK = total
 		}
 		s.MaxFailures, s.KeepGoing = 0, false
-		s.Kernel = ""
 		s.Epsilon = 0
 	case KindSampled:
 		if s.Trials <= 0 {
@@ -163,7 +152,6 @@ func (s Spec) normalize(total int) Spec {
 			s.MaxFailures = sim.DefaultMaxFailures
 		}
 		s.ExhaustiveLimit, s.KeepGoing = 0, false
-		s.Kernel = ""
 	}
 	return s
 }
@@ -173,9 +161,6 @@ func (s Spec) validate() error {
 	case KindWorstCase, KindProfile, KindSampled:
 	default:
 		return fmt.Errorf("campaign: unknown kind %q (want %q, %q, or %q)", s.Kind, KindWorstCase, KindProfile, KindSampled)
-	}
-	if err := sim.ScanKernel(s.Kernel).Validate(); err != nil {
-		return fmt.Errorf("campaign: %w", err)
 	}
 	return nil
 }
@@ -277,7 +262,7 @@ const maxPlannedShards = 1 << 20
 
 // planShards deterministically expands a normalized spec into shard groups.
 // Worst-case campaigns get one group per cardinality (executed in order so
-// the first-failure early stop matches sim.WorstCase); profile campaigns
+// the first-failure early stop matches sim.WorstCaseCtx); profile campaigns
 // get a single group because every point is independent; sampled campaigns
 // get one group per (cardinality, stopping-rule round) so the runner can
 // evaluate the precision target exactly where sim.SampleStratifiedCtx
@@ -503,9 +488,9 @@ type runner struct {
 	start time.Time
 
 	// samplers pools sim.StratifiedSampler instances over one shared CSR
-	// (KindSampled): the kernel masks and collision counters are the
-	// expensive part of a sampled shard, and pooling keeps them warm across
-	// the shards a worker executes.
+	// (KindProfile and KindSampled): the kernel masks and collision
+	// counters are the expensive part of a Monte Carlo shard, and pooling
+	// keeps them warm across the shards a worker executes.
 	samplers sync.Pool
 
 	mu          sync.Mutex
@@ -540,14 +525,16 @@ func execute(ctx context.Context, dir string, g *graph.Graph, man Manifest, grou
 	opts.Metrics.Gauge(MetricShardsDone).Set(int64(r.status.DoneShards))
 
 	res := &Result{Kind: man.Spec.Kind, Fingerprint: man.Fingerprint, Spec: man.Spec}
+	if man.Spec.Kind != KindWorstCase {
+		csr := decode.NewCSR(g)
+		r.samplers.New = func() any { return sim.NewStratifiedSampler(csr) }
+	}
 	switch man.Spec.Kind {
 	case KindWorstCase:
 		res.WorstCase, err = r.runWorstCase(ctx, groups)
 	case KindProfile:
 		res.Profile, err = r.runProfile(ctx, groups[0])
 	case KindSampled:
-		csr := decode.NewCSR(g)
-		r.samplers.New = func() any { return sim.NewStratifiedSampler(csr) }
 		res.Sampled, err = r.runSampled(ctx, groups)
 	default:
 		err = man.Spec.validate()
@@ -631,39 +618,45 @@ func (r *runner) executeGroup(ctx context.Context, shards []shard) error {
 }
 
 func (r *runner) runShard(ctx context.Context, s shard) (Record, error) {
+	if s.Trials == 0 {
+		rr, err := sim.ScanRangeCtx(ctx, r.g, s.K, s.Lo, s.Hi, s.MaxFailures)
+		if err != nil {
+			return Record{}, err
+		}
+		return Record{Shard: s.ID, K: s.K, Tested: rr.Tested, FailCount: rr.FailureCount, Failures: rr.Failures}, nil
+	}
+	// Profile shards draw from the raw seed, as sim.FailureProfileCtx
+	// does; sampled shards from the certification seed domain, as
+	// sim.SampleStratifiedCtx does.
+	seed := r.spec.Seed
 	if r.spec.Kind == KindSampled {
-		sp := r.samplers.Get().(*sim.StratifiedSampler)
-		blk, err := sp.SampleBlock(ctx, s.K, s.Trials, r.spec.Seed, s.Stream, s.MaxFailures)
-		r.samplers.Put(sp)
-		if err != nil {
-			return Record{}, err
-		}
-		tally := blk.Tally()
-		rec := Record{
-			Shard: s.ID, K: s.K, Trials: tally.Trials, Hits: tally.Hits,
-			Screened:     blk.Screened,
-			Failures:     blk.Witnesses,
-			StrataHits:   make([]int64, len(blk.Strata)),
-			StrataTrials: make([]int64, len(blk.Strata)),
-		}
-		for i, p := range blk.Strata {
-			rec.StrataHits[i], rec.StrataTrials[i] = p.Hits, p.Trials
-		}
-		return rec, nil
+		seed ^= sampledSeedDomain
 	}
-	if s.Trials > 0 {
-		prop, err := sim.SampleStreamCtx(ctx, r.g, s.K, s.Trials, r.spec.Seed, s.Stream)
-		if err != nil {
-			return Record{}, err
-		}
-		return Record{Shard: s.ID, K: s.K, Trials: prop.Trials, Hits: prop.Hits}, nil
-	}
-	rr, err := sim.ScanRangeKernelCtx(ctx, r.g, s.K, s.Lo, s.Hi, s.MaxFailures, sim.ScanKernel(r.spec.Kernel))
+	sp := r.samplers.Get().(*sim.StratifiedSampler)
+	blk, err := sp.SampleBlock(ctx, s.K, s.Trials, seed, s.Stream, s.MaxFailures)
+	r.samplers.Put(sp)
 	if err != nil {
 		return Record{}, err
 	}
-	return Record{Shard: s.ID, K: s.K, Tested: rr.Tested, FailCount: rr.FailureCount, Failures: rr.Failures}, nil
+	tally := blk.Tally()
+	rec := Record{Shard: s.ID, K: s.K, Trials: tally.Trials, Hits: tally.Hits}
+	if r.spec.Kind == KindSampled {
+		rec.Screened = blk.Screened
+		rec.Failures = blk.Witnesses
+		rec.StrataHits = make([]int64, len(blk.Strata))
+		rec.StrataTrials = make([]int64, len(blk.Strata))
+		for i, p := range blk.Strata {
+			rec.StrataHits[i], rec.StrataTrials[i] = p.Hits, p.Trials
+		}
+	}
+	return rec, nil
 }
+
+// sampledSeedDomain is sim's certification seed domain: sampled shards
+// XOR it into the spec seed so each shard draws exactly the block
+// sim.SampleStratifiedCtx would (TestSampledCampaignMatchesSim pins the
+// two equal).
+const sampledSeedDomain = 0x5ca1ab1e
 
 // noteDone records a completed shard and refreshes the progress gauges:
 // shards done, evaluation rate over this process's lifetime, and the ETA

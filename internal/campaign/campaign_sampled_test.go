@@ -21,7 +21,7 @@ func TestSampledCampaignMatchesSim(t *testing.T) {
 		Kind: KindSampled, MinK: 4, MaxK: 4,
 		Trials: 40000, ShardSize: 4096, Seed: 9, Epsilon: -1,
 	}
-	want, err := sim.SampleStratified(g, 4, sim.SampledOptions{
+	want, err := sim.SampleStratifiedCtx(context.Background(), g, 4, sim.SampledOptions{
 		Seed: 9, MaxTrials: 40000, BlockSize: 4096, Epsilon: -1,
 	})
 	if err != nil {
@@ -189,7 +189,7 @@ func TestSampledSpecNormalizeAndCacheKey(t *testing.T) {
 	if spec.MinK != 1 || spec.MaxK != sim.DefaultMaxK || spec.MaxFailures != sim.DefaultMaxFailures {
 		t.Errorf("sampled range defaults: %+v", spec)
 	}
-	if spec.Kernel != "" || spec.ExhaustiveLimit != 0 || spec.KeepGoing {
+	if spec.ExhaustiveLimit != 0 || spec.KeepGoing {
 		t.Errorf("sampled spec kept foreign fields: %+v", spec)
 	}
 	if orderVersion(spec) != scanOrderVersionSampled {

@@ -18,6 +18,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -75,6 +76,22 @@ func DefaultParams() Params {
 	}
 }
 
+// ErrInvalidParams reports a Params value Generate and GenerateUnscreened
+// refuse to build from, instead of returning a plausible-looking but
+// degenerate graph.
+var ErrInvalidParams = errors.New("core: invalid Params")
+
+// validate rejects parameter sets with no usable left-degree
+// distribution: without LeftDist, HeavyTailD < 1 would silently give every
+// data node degree 1 (the zero-value trap of Params{TotalNodes: n}).
+// DefectScanSize 0 stays legal; it disables screening.
+func (p Params) validate() error {
+	if p.LeftDist == nil && p.HeavyTailD < 1 {
+		return fmt.Errorf("%w: HeavyTailD %d < 1 and no LeftDist (start from DefaultParams)", ErrInvalidParams, p.HeavyTailD)
+	}
+	return nil
+}
+
 // GenStats reports how generation went.
 type GenStats struct {
 	Attempts  int // graphs generated including the accepted one
@@ -126,6 +143,9 @@ func PlanLevels(p Params) (LevelPlan, error) {
 // paper's evaluation pins — is byte-identical to earlier releases.
 func Generate(p Params, rng *rand.Rand) (*graph.Graph, GenStats, error) {
 	var st GenStats
+	if err := p.validate(); err != nil {
+		return nil, st, err
+	}
 	if p.MaxAttempts < 1 {
 		p.MaxAttempts = 1
 	}
@@ -169,6 +189,9 @@ func Generate(p Params, rng *rand.Rand) (*graph.Graph, GenStats, error) {
 // paper's "initial graph failure experiences" baseline (§3.2), kept for the
 // Table 2 comparison.
 func GenerateUnscreened(p Params, rng *rand.Rand) (*graph.Graph, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
 	if p.TotalNodes > StreamThreshold {
 		return generateStreamOnce(p, rng)
 	}

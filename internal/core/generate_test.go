@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -217,5 +218,26 @@ func TestQuickGenerateValid(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestGenerateRejectsDegenerateParams: a Params value with no left-degree
+// distribution (no LeftDist, HeavyTailD < 1 — e.g. Params{TotalNodes: n})
+// must fail with ErrInvalidParams instead of returning a graph of degree-1
+// data nodes with clean GenStats. DefectScanSize 0 stays legal.
+func TestGenerateRejectsDegenerateParams(t *testing.T) {
+	for _, n := range []int{96, 10000} {
+		p := Params{TotalNodes: n}
+		if g, _, err := Generate(p, rand.New(rand.NewPCG(1, 0))); !errors.Is(err, ErrInvalidParams) {
+			t.Errorf("Generate(Params{TotalNodes: %d}) = %v, %v; want ErrInvalidParams", n, g, err)
+		}
+		if g, err := GenerateUnscreened(p, rand.New(rand.NewPCG(1, 0))); !errors.Is(err, ErrInvalidParams) {
+			t.Errorf("GenerateUnscreened(Params{TotalNodes: %d}) = %v, %v; want ErrInvalidParams", n, g, err)
+		}
+	}
+	p := DefaultParams()
+	p.DefectScanSize = 0
+	if _, _, err := Generate(p, rand.New(rand.NewPCG(1, 0))); err != nil {
+		t.Errorf("DefectScanSize 0 rejected: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestLargerSystems(t *testing.T) {
 
 		// Screened graphs tolerate any 2 losses regardless of size
 		// (exhaustive k=2 stays cheap: C(384,2) = 73,536).
-		res, err := sim.WorstCase(g, sim.WorstCaseOptions{MaxK: 2})
+		res, err := sim.WorstCaseCtx(context.Background(), g, sim.WorstCaseOptions{MaxK: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 
@@ -85,7 +86,7 @@ func PrepareTornado(cfg Config, idx int) (*TornadoGraph, error) {
 // finishGraph certifies and profiles an already-built graph.
 func finishGraph(cfg Config, g *graph.Graph) (*TornadoGraph, error) {
 	tg := &TornadoGraph{Name: g.Name, Graph: g}
-	wc, err := sim.WorstCase(g, sim.WorstCaseOptions{MaxK: cfg.CertifyK, Workers: cfg.Workers})
+	wc, err := sim.WorstCaseCtx(context.Background(), g, sim.WorstCaseOptions{MaxK: cfg.CertifyK, Workers: cfg.Workers})
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +97,7 @@ func finishGraph(cfg Config, g *graph.Graph) (*TornadoGraph, error) {
 		tg.TestedAtFF = last.Tested
 		tg.CriticalSets = last.Failures
 	}
-	tg.Profile, err = sim.FailureProfile(g, sim.ProfileOptions{
+	tg.Profile, err = sim.FailureProfileCtx(context.Background(), g, sim.ProfileOptions{
 		Trials: cfg.Trials, Workers: cfg.Workers, Seed: 0xF00D,
 	})
 	if err != nil {

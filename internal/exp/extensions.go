@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -22,7 +23,7 @@ func TableOverhead(cfg Config, tornadoes []*TornadoGraph) (string, []float64, er
 		trials = 1000
 	}
 	for _, tg := range tornadoes {
-		res, err := sim.Overhead(tg.Graph, sim.OverheadOptions{
+		res, err := sim.OverheadCtx(context.Background(), tg.Graph, sim.OverheadOptions{
 			Trials: trials, Workers: cfg.Workers, Seed: 0xBEEF,
 		})
 		if err != nil {

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 	"strings"
@@ -366,7 +367,7 @@ func Table7(cfg Config, tornadoes []*TornadoGraph) (string, map[string]int, erro
 
 	// Mirrored (4 copies): two mirrored-48 sites.
 	m := raid.MirroredGraph(48)
-	wc, err := sim.WorstCase(m, sim.WorstCaseOptions{MaxK: 2, Workers: cfg.Workers})
+	wc, err := sim.WorstCaseCtx(context.Background(), m, sim.WorstCaseOptions{MaxK: 2, Workers: cfg.Workers})
 	if err != nil {
 		return "", nil, err
 	}
@@ -419,7 +420,7 @@ func Table7(cfg Config, tornadoes []*TornadoGraph) (string, map[string]int, erro
 // largest absolute deviation across all offline counts.
 func Eq1Validation(cfg Config) (string, float64, error) {
 	g := raid.MirroredGraph(48)
-	p, err := sim.FailureProfile(g, sim.ProfileOptions{
+	p, err := sim.FailureProfileCtx(context.Background(), g, sim.ProfileOptions{
 		Trials: cfg.Trials, Workers: cfg.Workers, Seed: 0xE9,
 	})
 	if err != nil {

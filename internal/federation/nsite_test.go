@@ -104,7 +104,7 @@ func TestDetectFirstFailureThreeSitesMirrored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wc, err := sim.WorstCase(s.sites[0], sim.WorstCaseOptions{MaxK: 2})
+	wc, err := sim.WorstCaseCtx(context.Background(), s.sites[0], sim.WorstCaseOptions{MaxK: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestDetectFirstFailureThreeSitesMirrored(t *testing.T) {
 // real joint failure.
 func TestSearchComplementarySets(t *testing.T) {
 	g0, g1, g2 := mirrorSite(4), mirrorSite(4), mirrorSite(4)
-	wc, err := sim.WorstCase(g0, sim.WorstCaseOptions{MaxK: 2})
+	wc, err := sim.WorstCaseCtx(context.Background(), g0, sim.WorstCaseOptions{MaxK: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

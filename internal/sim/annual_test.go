@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -72,7 +73,7 @@ func TestAnnualLossDefaultTrials(t *testing.T) {
 func TestAnnualLossOnTornadoProfile(t *testing.T) {
 	g := tornadoForAnnual(t)
 	const afr = 0.2
-	prof, err := FailureProfile(g, ProfileOptions{Trials: 20000, Seed: 3, Workers: 2})
+	prof, err := FailureProfileCtx(context.Background(), g, ProfileOptions{Trials: 20000, Seed: 3, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

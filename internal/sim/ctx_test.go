@@ -165,18 +165,3 @@ func TestKernelScanCancellationLeaksNothing(t *testing.T) {
 		t.Errorf("post-cancel scan tested %d combinations, want %d", kr.Tested, want)
 	}
 }
-
-func TestBackgroundWrappersStillWork(t *testing.T) {
-	g := ctxTestGraph(t)
-	wc, err := WorstCase(g, WorstCaseOptions{MaxK: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wcc, err := WorstCaseCtx(context.Background(), g, WorstCaseOptions{MaxK: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wc.FirstFailure != wcc.FirstFailure || wc.Found != wcc.Found {
-		t.Errorf("wrapper (%+v) and ctx variant (%+v) disagree", wc, wcc)
-	}
-}

@@ -46,19 +46,14 @@ type LifetimeResult struct {
 	MeanYears float64
 }
 
-// SimulateLifetime is the ground-truth counterpart of the Markov MTTDL
+// SimulateLifetimeCtx is the ground-truth counterpart of the Markov MTTDL
 // model (reliability.MTTDL): a discrete-event simulation of the actual
 // graph under exponential per-device failures and a bounded repair crew.
 // Unlike the Markov chain — which collapses the failed-device identities
 // into a count and the measured profile — the event simulation tracks
 // exactly which devices are down and asks the real decoder whether data
 // survived, so it validates both the chain and the profile at once.
-func SimulateLifetime(g *graph.Graph, opts LifetimeOptions) (LifetimeResult, error) {
-	return SimulateLifetimeCtx(context.Background(), g, opts)
-}
-
-// SimulateLifetimeCtx is SimulateLifetime with cancellation, checked
-// between runs in each worker.
+// Cancellation is checked between runs in each worker.
 func SimulateLifetimeCtx(ctx context.Context, g *graph.Graph, opts LifetimeOptions) (LifetimeResult, error) {
 	opts = opts.normalize()
 	if opts.Lambda <= 0 {

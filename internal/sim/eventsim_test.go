@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestLifetimeMatchesMarkovNoRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SimulateLifetime(g, LifetimeOptions{
+	res, err := SimulateLifetimeCtx(context.Background(), g, LifetimeOptions{
 		Lambda: lambda, Runs: 4000, Seed: 1, Workers: 2,
 	})
 	if err != nil {
@@ -46,7 +47,7 @@ func TestLifetimeRepairApproximatesMarkov(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SimulateLifetime(g, LifetimeOptions{
+	res, err := SimulateLifetimeCtx(context.Background(), g, LifetimeOptions{
 		Lambda: lambda, Mu: mu, Repairmen: 1, Runs: 2500, Seed: 2, Workers: 2,
 	})
 	if err != nil {
@@ -60,11 +61,11 @@ func TestLifetimeRepairApproximatesMarkov(t *testing.T) {
 
 func TestLifetimeRepairExtendsLife(t *testing.T) {
 	g := mirrorGraph(6)
-	none, err := SimulateLifetime(g, LifetimeOptions{Lambda: 0.4, Runs: 800, Seed: 3, Workers: 2})
+	none, err := SimulateLifetimeCtx(context.Background(), g, LifetimeOptions{Lambda: 0.4, Runs: 800, Seed: 3, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	crew, err := SimulateLifetime(g, LifetimeOptions{
+	crew, err := SimulateLifetimeCtx(context.Background(), g, LifetimeOptions{
 		Lambda: 0.4, Mu: 8, Repairmen: 2, Runs: 800, Seed: 3, Workers: 2,
 	})
 	if err != nil {
@@ -79,11 +80,11 @@ func TestLifetimeTornadoBeatsMirrorUnderSimulation(t *testing.T) {
 	g := tornadoForAnnual(t)
 	m := mirrorGraph(48)
 	opts := LifetimeOptions{Lambda: 0.3, Mu: 6, Repairmen: 2, Runs: 250, Seed: 4, Workers: 2, MaxYears: 1e4}
-	tr, err := SimulateLifetime(g, opts)
+	tr, err := SimulateLifetimeCtx(context.Background(), g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mr, err := SimulateLifetime(m, opts)
+	mr, err := SimulateLifetimeCtx(context.Background(), m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,10 +96,10 @@ func TestLifetimeTornadoBeatsMirrorUnderSimulation(t *testing.T) {
 
 func TestLifetimeValidation(t *testing.T) {
 	g := mirrorGraph(2)
-	if _, err := SimulateLifetime(g, LifetimeOptions{Lambda: 0}); err == nil {
+	if _, err := SimulateLifetimeCtx(context.Background(), g, LifetimeOptions{Lambda: 0}); err == nil {
 		t.Error("lambda 0 accepted")
 	}
-	if _, err := SimulateLifetime(g, LifetimeOptions{Lambda: 1, Mu: -1}); err == nil {
+	if _, err := SimulateLifetimeCtx(context.Background(), g, LifetimeOptions{Lambda: 1, Mu: -1}); err == nil {
 		t.Error("negative mu accepted")
 	}
 }
@@ -106,7 +107,7 @@ func TestLifetimeValidation(t *testing.T) {
 func TestLifetimeTruncation(t *testing.T) {
 	// A tiny failure rate with aggressive repair: runs hit MaxYears.
 	g := mirrorGraph(4)
-	res, err := SimulateLifetime(g, LifetimeOptions{
+	res, err := SimulateLifetimeCtx(context.Background(), g, LifetimeOptions{
 		Lambda: 0.001, Mu: 1000, Repairmen: 4, Runs: 20, Seed: 5, MaxYears: 10, Workers: 2,
 	})
 	if err != nil {

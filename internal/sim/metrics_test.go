@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tornado/internal/combin"
+	"tornado/internal/decode"
 	"tornado/internal/obs"
 )
 
@@ -15,7 +16,7 @@ func TestMetricsWiring(t *testing.T) {
 	defer SetMetrics(old)
 
 	g := ctxTestGraph(t)
-	kr, err := ExhaustiveK(g, 2, 4, 2)
+	kr, err := ExhaustiveKCtx(context.Background(), g, 2, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,10 +27,11 @@ func TestMetricsWiring(t *testing.T) {
 		t.Errorf("%s = %d, want %d", MetricFailuresFound, got, kr.FailureCount)
 	}
 
-	prop, err := SampleStreamCtx(context.Background(), g, 40, 500, 7, 0)
+	blk, err := NewStratifiedSampler(decode.NewCSR(g)).SampleBlock(context.Background(), 40, 500, 7, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	prop := blk.Tally()
 	if got := reg.Counter(MetricMCTrials).Value(); got != prop.Trials {
 		t.Errorf("%s = %d, want %d", MetricMCTrials, got, prop.Trials)
 	}
@@ -52,7 +54,7 @@ func TestScanRangeMatchesExhaustive(t *testing.T) {
 	if !ok {
 		t.Fatal("rank space overflow")
 	}
-	whole, err := ExhaustiveK(g, k, int(total), 4)
+	whole, err := ExhaustiveKCtx(context.Background(), g, k, int(total), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@ import "runtime"
 // Effective defaults for the package's option types, exported so callers,
 // CLIs, and docs can reference the real values instead of restating them.
 const (
-	// DefaultMaxK is the largest erasure cardinality WorstCase examines
+	// DefaultMaxK is the largest erasure cardinality WorstCaseCtx examines
 	// (the paper searched C(96,1) through C(96,6); 5 keeps the default run
 	// interactive).
 	DefaultMaxK = 5
@@ -13,17 +13,17 @@ const (
 	// cardinality (the failure count stays exact regardless).
 	DefaultMaxFailures = 256
 	// DefaultProfileTrials is the Monte Carlo sample count per
-	// offline-node count in FailureProfile. The paper used 10–34 million
+	// offline-node count in FailureProfileCtx. The paper used 10–34 million
 	// per point; 20,000 preserves the curve shape on a laptop.
 	DefaultProfileTrials = 20000
 	// DefaultExhaustiveLimit switches a profile point to exact enumeration
 	// when C(total, k) is at most this bound.
 	DefaultExhaustiveLimit = 100000
 	// DefaultOverheadTrials is the number of random retrieval orders
-	// sampled by Overhead.
+	// sampled by OverheadCtx.
 	DefaultOverheadTrials = 10000
 	// DefaultLifetimeRuns is the number of independent system lifetimes
-	// SimulateLifetime draws.
+	// SimulateLifetimeCtx draws.
 	DefaultLifetimeRuns = 200
 	// DefaultLifetimeMaxYears truncates lifetime runs that never lose
 	// data.

@@ -54,18 +54,13 @@ func (r OverheadResult) MeanOverhead() float64 { return r.Mean() / float64(r.Dat
 // Quantile returns the retrieval count at the given quantile.
 func (r OverheadResult) Quantile(q float64) int { return r.Counts.Quantile(q) }
 
-// Overhead measures g's reconstruction overhead: each trial draws a random
-// permutation of the node IDs (the order blocks arrive from devices) and
-// binary-searches the shortest prefix that reconstructs all data.
+// OverheadCtx measures g's reconstruction overhead: each trial draws a
+// random permutation of the node IDs (the order blocks arrive from
+// devices) and binary-searches the shortest prefix that reconstructs all
+// data. Cancellation is checked between trials in each worker.
 //
 // Monotonicity makes the per-trial binary search sound: supersets of a
 // decodable block set are decodable.
-func Overhead(g *graph.Graph, opts OverheadOptions) (OverheadResult, error) {
-	return OverheadCtx(context.Background(), g, opts)
-}
-
-// OverheadCtx is Overhead with cancellation, checked between trials in
-// each worker.
 func OverheadCtx(ctx context.Context, g *graph.Graph, opts OverheadOptions) (OverheadResult, error) {
 	opts = opts.normalize()
 	res := OverheadResult{

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -15,7 +16,7 @@ func TestOverheadMirrorExact(t *testing.T) {
 	// pair (either member). The minimum is between n (one per pair, best
 	// case) and 2n-? … sanity-check the support of the distribution.
 	g := mirrorGraph(6)
-	res, err := Overhead(g, OverheadOptions{Trials: 4000, Seed: 1, Workers: 2})
+	res, err := OverheadCtx(context.Background(), g, OverheadOptions{Trials: 4000, Seed: 1, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestOverheadCouponCollectorMean(t *testing.T) {
 	rec(0)
 	want := total / count
 
-	res, err := Overhead(g, OverheadOptions{Trials: 60000, Seed: 9, Workers: 2})
+	res, err := OverheadCtx(context.Background(), g, OverheadOptions{Trials: 60000, Seed: 9, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestOverheadTornadoShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Overhead(g, OverheadOptions{Trials: 3000, Seed: 4})
+	res, err := OverheadCtx(context.Background(), g, OverheadOptions{Trials: 3000, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +108,11 @@ func TestOverheadTornadoShape(t *testing.T) {
 
 func TestOverheadDeterministicSeed(t *testing.T) {
 	g := mirrorGraph(4)
-	a, err := Overhead(g, OverheadOptions{Trials: 2000, Seed: 5, Workers: 2})
+	a, err := OverheadCtx(context.Background(), g, OverheadOptions{Trials: 2000, Seed: 5, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Overhead(g, OverheadOptions{Trials: 2000, Seed: 5, Workers: 2})
+	b, err := OverheadCtx(context.Background(), g, OverheadOptions{Trials: 2000, Seed: 5, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestOverheadBrokenGraph(t *testing.T) {
 	g := b.Graph()
 	g.SetNeighbors(r, []int{0, 1})
 	g.SetNeighbors(r+1, []int{0, 1})
-	res, err := Overhead(g, OverheadOptions{Trials: 100, Seed: 1})
+	res, err := OverheadCtx(context.Background(), g, OverheadOptions{Trials: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

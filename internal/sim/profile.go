@@ -2,9 +2,6 @@ package sim
 
 import (
 	"context"
-	"fmt"
-	"math/rand/v2"
-	"sync"
 
 	"tornado/internal/combin"
 	"tornado/internal/decode"
@@ -54,13 +51,10 @@ type Profile struct {
 	Exact     []bool // Fail[k] computed by full enumeration rather than sampling
 }
 
-// FailureProfile measures g's reconstruction-failure profile.
-func FailureProfile(g *graph.Graph, opts ProfileOptions) (*Profile, error) {
-	return FailureProfileCtx(context.Background(), g, opts)
-}
-
-// FailureProfileCtx is FailureProfile with cancellation, checked at
-// combination-chunk boundaries inside each sampling worker.
+// FailureProfileCtx measures g's reconstruction-failure profile: exact
+// enumeration where C(total, k) is at most opts.ExhaustiveLimit, uniform
+// sampling elsewhere. Cancellation is checked at combination-chunk
+// boundaries inside each worker.
 func FailureProfileCtx(ctx context.Context, g *graph.Graph, opts ProfileOptions) (*Profile, error) {
 	opts = opts.normalize(g.Total)
 	p := &Profile{
@@ -74,6 +68,7 @@ func FailureProfileCtx(ctx context.Context, g *graph.Graph, opts ProfileOptions)
 	p.Fail[0] = stats.Proportion{Hits: 0, Trials: 1}
 	p.Exact[0] = true
 
+	var samplers []*StratifiedSampler // built on the first sampled point
 	for k := opts.MinK; k <= opts.MaxK; k++ {
 		if c, ok := combin.BinomialInt64(g.Total, k); ok && c <= opts.ExhaustiveLimit {
 			kr, err := ExhaustiveKCtx(ctx, g, k, 1, opts.Workers)
@@ -84,7 +79,10 @@ func FailureProfileCtx(ctx context.Context, g *graph.Graph, opts ProfileOptions)
 			p.Exact[k] = true
 			continue
 		}
-		prop, err := sampleK(ctx, g, k, opts)
+		if samplers == nil {
+			samplers = newSamplers(decode.NewCSR(g), opts.Workers)
+		}
+		prop, err := sampleK(ctx, samplers, k, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -95,99 +93,35 @@ func FailureProfileCtx(ctx context.Context, g *graph.Graph, opts ProfileOptions)
 
 // sampleBlockSize is the deterministic unit of sampled profile work:
 // trials split into fixed-size blocks with stream = block index. It
-// matches the campaign's default profile shard size, so a FailureProfile
+// matches the campaign's default profile shard size, so a FailureProfileCtx
 // point and a profile campaign over the same seed produce identical
 // tallies.
 const sampleBlockSize = 65536
 
 // sampleK estimates the failure fraction for exactly k offline nodes by
 // uniform random sampling. Work is split into fixed deterministic blocks
-// (stream = block index) that a worker pool consumes, so the tally — an
-// integer sum over blocks — is bit-identical at any worker count. The
-// historical split (one stream per worker, trials divided among workers)
-// made the estimate depend on GOMAXPROCS and silently dropped non-context
-// worker errors.
-func sampleK(ctx context.Context, g *graph.Graph, k int, opts ProfileOptions) (stats.Proportion, error) {
-	if k < 1 || k > g.Total {
-		return stats.Proportion{}, fmt.Errorf("sim: cardinality %d out of range for %d nodes", k, g.Total)
-	}
+// (stream = block index, drawn from the raw opts.Seed) that the samplers
+// consume, one per worker, so the tally — an integer sum over blocks — is
+// bit-identical at any worker count.
+func sampleK(ctx context.Context, samplers []*StratifiedSampler, k int, opts ProfileOptions) (stats.Proportion, error) {
 	nBlocks := (opts.Trials + sampleBlockSize - 1) / sampleBlockSize
 	props := make([]stats.Proportion, nBlocks)
 	errs := make([]error, nBlocks)
 
-	workers := opts.Workers
-	if int64(workers) > nBlocks {
-		workers = int(nBlocks)
-	}
-	ch := make(chan int64)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for b := range ch {
-				n := min(sampleBlockSize, opts.Trials-b*sampleBlockSize)
-				props[b], errs[b] = SampleStreamCtx(ctx, g, k, n, opts.Seed, uint64(b))
-			}
-		}()
-	}
-	for b := int64(0); b < nBlocks; b++ {
-		ch <- b
-	}
-	close(ch)
-	wg.Wait()
+	fanBlocks(samplers, 0, nBlocks, func(sp *StratifiedSampler, b int64) {
+		n := min(sampleBlockSize, opts.Trials-b*sampleBlockSize)
+		blk, err := sp.SampleBlock(ctx, k, n, opts.Seed, uint64(b), 0)
+		props[b], errs[b] = blk.Tally(), err
+	})
 	var agg stats.Proportion
 	for b := range props {
-		// First error in block order: deterministic propagation, and
-		// non-context errors are no longer swallowed.
+		// First error in block order: deterministic propagation.
 		if errs[b] != nil {
 			return stats.Proportion{}, errs[b]
 		}
 		agg.Add(props[b].Hits, props[b].Trials)
 	}
 	return agg, nil
-}
-
-// SampleStreamCtx draws trials uniformly random k-subsets from the
-// deterministic RNG stream identified by (seed, k, stream) and tallies the
-// unrecoverable ones. It is the unit of work of both a FailureProfileCtx
-// worker (stream = worker index) and a Monte Carlo campaign shard (stream =
-// shard index): fixed arguments always reproduce the same tally, so a
-// resumed campaign is bit-identical to an uninterrupted one. Cancellation
-// is honored at combination-chunk boundaries, and progress counters are
-// flushed to Metrics() at the same cadence.
-func SampleStreamCtx(ctx context.Context, g *graph.Graph, k int, trials int64, seed, stream uint64) (stats.Proportion, error) {
-	if k < 1 || k > g.Total {
-		return stats.Proportion{}, fmt.Errorf("sim: cardinality %d out of range for %d nodes", k, g.Total)
-	}
-	reg := Metrics()
-	mcTrials := reg.Counter(MetricMCTrials)
-	mcFails := reg.Counter(MetricMCFailures)
-
-	rng := rand.New(rand.NewPCG(seed, uint64(k)<<32|stream))
-	kn := decode.NewKernel(decode.NewCSR(g))
-	idx := make([]int, k)
-	scratch := make(map[int]bool, k)
-	var hits int64
-	var lastFlushTrials, lastFlushHits int64
-	for i := int64(0); i < trials; i++ {
-		if i%cancelCheckInterval == 0 {
-			if ctx.Err() != nil {
-				return stats.Proportion{}, ctx.Err()
-			}
-			mcTrials.Add(i - lastFlushTrials)
-			mcFails.Add(hits - lastFlushHits)
-			lastFlushTrials, lastFlushHits = i, hits
-		}
-		combin.RandomSubset(idx, g.Total, rng, scratch)
-		// idx is sorted, so idx[0] >= Data means all-check: trivially fine.
-		if idx[0] < g.Data && !kn.Recoverable(idx) {
-			hits++
-		}
-	}
-	mcTrials.Add(trials - lastFlushTrials)
-	mcFails.Add(hits - lastFlushHits)
-	return stats.Proportion{Hits: hits, Trials: trials}, nil
 }
 
 // FailFraction returns the measured failure fraction with exactly k nodes

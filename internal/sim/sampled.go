@@ -50,9 +50,10 @@ const (
 	DefaultSampledBlock = 65536
 )
 
-// sampledSeedDomain separates the sampled certification RNG streams from
-// SampleStreamCtx's profile streams, so running both against one seed
-// never correlates their draws.
+// sampledSeedDomain is XORed into the seed of every sampled
+// certification block (SampleStratifiedCtx and sampled campaign shards)
+// and not into profile blocks, which draw from the raw seed, so a profile
+// and a certification run against one seed never correlate their draws.
 const sampledSeedDomain = 0x5ca1ab1e
 
 // SampledOptions tunes SampleStratifiedCtx.
@@ -200,9 +201,14 @@ func NewStratifiedSampler(c *decode.CSR) *StratifiedSampler {
 	}
 }
 
-// SampleBlock draws trials patterns of cardinality k from the
-// deterministic stream (seed, k, stream) and returns the stratified
-// tally. Cancellation is honored at combination-chunk boundaries.
+// SampleBlock draws trials uniformly random k-subsets from the
+// deterministic PCG stream (seed, k<<32|stream) and returns the stratified
+// tally. It is the unit of work of every uniform sampler in the system:
+// FailureProfileCtx points and profile campaign shards pass their raw
+// seed, sampled certification passes seed^sampledSeedDomain. Fixed
+// arguments always reproduce the same block, so a resumed campaign is
+// bit-identical to an uninterrupted one. Cancellation is honored at
+// combination-chunk boundaries.
 func (s *StratifiedSampler) SampleBlock(ctx context.Context, k int, trials int64, seed, stream uint64, maxWitnesses int) (SampledBlock, error) {
 	total := int(s.c.Total)
 	if k < 1 || k > total {
@@ -219,7 +225,7 @@ func (s *StratifiedSampler) SampleBlock(ctx context.Context, k int, trials int64
 	s.idx = s.idx[:k]
 	s.batchLen = 0
 
-	rng := rand.New(rand.NewPCG(seed^sampledSeedDomain, uint64(k)<<32|stream))
+	rng := rand.New(rand.NewPCG(seed, uint64(k)<<32|stream))
 	blk := SampledBlock{Strata: make([]stats.Proportion, k+1)}
 	var done, hits, lastFlushTrials, lastFlushHits int64
 	flushHits := func() {
@@ -368,11 +374,6 @@ func (s *StratifiedSampler) flushBatch(blk *SampledBlock, k, maxWitnesses int) {
 	s.batchLen = 0
 }
 
-// SampleStratified is SampleStratifiedCtx with context.Background.
-func SampleStratified(g *graph.Graph, k int, opts SampledOptions) (*SampledResult, error) {
-	return SampleStratifiedCtx(context.Background(), g, k, opts)
-}
-
 // SampleStratifiedCtx runs the sampled certification of cardinality k:
 // deterministic blocks executed in doubling rounds, stopping at the first
 // round boundary where the pooled 95% Wilson CI half-width reaches
@@ -391,36 +392,14 @@ func SampleStratifiedCtx(ctx context.Context, g *graph.Graph, k int, opts Sample
 	nBlocks, rounds := SampledPlan(opts.MaxTrials, opts.BlockSize)
 	res := &SampledResult{K: k, Strata: make([]stats.Proportion, k+1)}
 
-	workers := opts.Workers
-	if int64(workers) > nBlocks {
-		workers = int(nBlocks)
-	}
-	samplers := make([]*StratifiedSampler, workers)
-	for i := range samplers {
-		samplers[i] = NewStratifiedSampler(c)
-	}
-
+	samplers := newSamplers(c, int(min(int64(opts.Workers), nBlocks)))
 	blocks := make([]SampledBlock, nBlocks)
 	errs := make([]error, nBlocks)
 	for _, rd := range rounds {
-		// Execute the round's blocks across the worker pool.
-		ch := make(chan int64)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(sp *StratifiedSampler) {
-				defer wg.Done()
-				for b := range ch {
-					n := SampledBlockTrials(opts.MaxTrials, opts.BlockSize, b)
-					blocks[b], errs[b] = sp.SampleBlock(ctx, k, n, opts.Seed, uint64(b), opts.MaxWitnesses)
-				}
-			}(samplers[w])
-		}
-		for b := rd[0]; b < rd[1]; b++ {
-			ch <- b
-		}
-		close(ch)
-		wg.Wait()
+		fanBlocks(samplers, rd[0], rd[1], func(sp *StratifiedSampler, b int64) {
+			n := SampledBlockTrials(opts.MaxTrials, opts.BlockSize, b)
+			blocks[b], errs[b] = sp.SampleBlock(ctx, k, n, opts.Seed^sampledSeedDomain, uint64(b), opts.MaxWitnesses)
+		})
 		// First error in block order, so cancellation reports are
 		// deterministic too.
 		for b := rd[0]; b < rd[1]; b++ {
@@ -452,4 +431,37 @@ func mergeSampledBlock(res *SampledResult, blk SampledBlock, maxWitnesses int) {
 		res.Witnesses = append(res.Witnesses, slices.Clone(w))
 	}
 	res.Tally = stats.Pool(res.Strata...)
+}
+
+// newSamplers returns n samplers sharing the read-only CSR c, one per
+// worker goroutine.
+func newSamplers(c *decode.CSR, n int) []*StratifiedSampler {
+	samplers := make([]*StratifiedSampler, n)
+	for i := range samplers {
+		samplers[i] = NewStratifiedSampler(c)
+	}
+	return samplers
+}
+
+// fanBlocks runs fn for every block index in [lo, hi), spread over one
+// goroutine per sampler (at most hi-lo of them), and returns when all are
+// done. fn writes its result into a per-block slot, so the outcome does
+// not depend on which sampler ran which block.
+func fanBlocks(samplers []*StratifiedSampler, lo, hi int64, fn func(sp *StratifiedSampler, b int64)) {
+	ch := make(chan int64)
+	var wg sync.WaitGroup
+	for _, sp := range samplers[:min(int64(len(samplers)), hi-lo)] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := range ch {
+				fn(sp, b)
+			}
+		}()
+	}
+	for b := lo; b < hi; b++ {
+		ch <- b
+	}
+	close(ch)
+	wg.Wait()
 }

@@ -75,7 +75,7 @@ func TestSampledMatchesScalarVerdicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Replay the stream with the scalar kernel.
-	rng := rand.New(rand.NewPCG(42^sampledSeedDomain, uint64(k)<<32|3))
+	rng := rand.New(rand.NewPCG(42, uint64(k)<<32|3))
 	ref := decode.NewKernel(c)
 	idx := make([]int, k)
 	scratch := make(map[int]bool, k)
@@ -108,13 +108,13 @@ func TestSampledMatchesScalarVerdicts(t *testing.T) {
 func TestSampledWorkerCountIndependence(t *testing.T) {
 	g := unscreened96(t, 11)
 	opts := SampledOptions{Seed: 9, MaxTrials: 40000, BlockSize: 4096, Epsilon: -1, Workers: 1}
-	want, err := SampleStratified(g, 4, opts)
+	want, err := SampleStratifiedCtx(context.Background(), g, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 3, 7} {
 		opts.Workers = w
-		got, err := SampleStratified(g, 4, opts)
+		got, err := SampleStratifiedCtx(context.Background(), g, 4, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestSampledStoppingRule(t *testing.T) {
 	// Screened graph at k=2: failures are essentially absent, so the
 	// zero-hit half-width math governs. One 4096-trial round gives
 	// hw ≈ 1.92/4100 ≈ 4.7e-4; epsilon 1e-3 must stop after round one.
-	res, err := SampleStratified(g, 2, SampledOptions{
+	res, err := SampleStratifiedCtx(context.Background(), g, 2, SampledOptions{
 		Seed: 5, MaxTrials: 1 << 20, BlockSize: 4096, Epsilon: 1e-3,
 	})
 	if err != nil {
@@ -193,14 +193,14 @@ func TestSampledPlanSchedule(t *testing.T) {
 func TestProfileWorkerCountIndependence(t *testing.T) {
 	g := unscreened96(t, 2)
 	base := ProfileOptions{Trials: 100003, MinK: 4, MaxK: 5, Seed: 77, Workers: 1, ExhaustiveLimit: 1}
-	want, err := FailureProfile(g, base)
+	want, err := FailureProfileCtx(context.Background(), g, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 5, 8} {
 		opts := base
 		opts.Workers = w
-		got, err := FailureProfile(g, opts)
+		got, err := FailureProfileCtx(context.Background(), g, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +223,7 @@ func TestSampledArchivalScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SampleStratified(g, 5, SampledOptions{Seed: 2006})
+	res, err := SampleStratifiedCtx(context.Background(), g, 5, SampledOptions{Seed: 2006})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"tornado/internal/combin"
 	"tornado/internal/core"
 	"tornado/internal/graph"
+	"tornado/internal/graphml"
 )
 
 // mirrorGraph builds an n-pair (2n-node) mirrored system: data i is
@@ -34,7 +36,7 @@ func mirrorTheory(nPairs, k int) float64 {
 
 func TestWorstCaseMirror(t *testing.T) {
 	g := mirrorGraph(8)
-	res, err := WorstCase(g, WorstCaseOptions{MaxK: 3})
+	res, err := WorstCaseCtx(context.Background(), g, WorstCaseOptions{MaxK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +64,7 @@ func TestWorstCaseMirror(t *testing.T) {
 
 func TestWorstCaseKeepGoing(t *testing.T) {
 	g := mirrorGraph(6)
-	res, err := WorstCase(g, WorstCaseOptions{MaxK: 4, KeepGoing: true})
+	res, err := WorstCaseCtx(context.Background(), g, WorstCaseOptions{MaxK: 4, KeepGoing: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +83,7 @@ func TestWorstCaseKeepGoing(t *testing.T) {
 
 func TestWorstCaseMaxFailuresCap(t *testing.T) {
 	g := mirrorGraph(8)
-	res, err := WorstCase(g, WorstCaseOptions{MaxK: 2, MaxFailures: 3})
+	res, err := WorstCaseCtx(context.Background(), g, WorstCaseOptions{MaxK: 2, MaxFailures: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +102,7 @@ func TestExhaustiveKMatchesTheory(t *testing.T) {
 	// comparison exact.
 	g := mirrorGraph(8)
 	for k := 1; k <= 16; k++ {
-		kr, err := ExhaustiveK(g, k, 1, 2)
+		kr, err := ExhaustiveKCtx(context.Background(), g, k, 1, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,17 +116,17 @@ func TestExhaustiveKMatchesTheory(t *testing.T) {
 
 func TestExhaustiveKRangeErrors(t *testing.T) {
 	g := mirrorGraph(4)
-	if _, err := ExhaustiveK(g, 0, 1, 1); err == nil {
+	if _, err := ExhaustiveKCtx(context.Background(), g, 0, 1, 1); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := ExhaustiveK(g, 9, 1, 1); err == nil {
+	if _, err := ExhaustiveKCtx(context.Background(), g, 9, 1, 1); err == nil {
 		t.Error("k>total accepted")
 	}
 }
 
 func TestFailureProfileExactMatchesTheory(t *testing.T) {
 	g := mirrorGraph(8)
-	p, err := FailureProfile(g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1})
+	p, err := FailureProfileCtx(context.Background(), g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +145,7 @@ func TestFailureProfileExactMatchesTheory(t *testing.T) {
 
 func TestFailureProfileSamplingApproximatesTheory(t *testing.T) {
 	g := mirrorGraph(8)
-	p, err := FailureProfile(g, ProfileOptions{
+	p, err := FailureProfileCtx(context.Background(), g, ProfileOptions{
 		Trials:          40000,
 		ExhaustiveLimit: 1, // force sampling everywhere
 		Seed:            7,
@@ -168,11 +170,11 @@ func TestFailureProfileSamplingApproximatesTheory(t *testing.T) {
 func TestProfileDeterministicSeed(t *testing.T) {
 	g := mirrorGraph(6)
 	opts := ProfileOptions{Trials: 5000, ExhaustiveLimit: 1, Seed: 42, Workers: 2}
-	a, err := FailureProfile(g, opts)
+	a, err := FailureProfileCtx(context.Background(), g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FailureProfile(g, opts)
+	b, err := FailureProfileCtx(context.Background(), g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +187,7 @@ func TestProfileDeterministicSeed(t *testing.T) {
 
 func TestAvgNodesToReconstructMirror(t *testing.T) {
 	g := mirrorGraph(8)
-	p, err := FailureProfile(g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1})
+	p, err := FailureProfileCtx(context.Background(), g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +207,7 @@ func TestAvgNodesToReconstructMirror(t *testing.T) {
 
 func TestNodesForSuccessProbability(t *testing.T) {
 	g := mirrorGraph(8)
-	p, err := FailureProfile(g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1})
+	p, err := FailureProfileCtx(context.Background(), g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +229,7 @@ func TestNodesForSuccessProbability(t *testing.T) {
 
 func TestFirstObservedFailure(t *testing.T) {
 	g := mirrorGraph(8)
-	p, err := FailureProfile(g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1})
+	p, err := FailureProfileCtx(context.Background(), g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +246,7 @@ func TestScreenedTornadoToleratesTwoLosses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := WorstCase(g, WorstCaseOptions{MaxK: 3})
+	res, err := WorstCaseCtx(context.Background(), g, WorstCaseOptions{MaxK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,11 +260,11 @@ func TestProfilePartialRangeMonotoneExtension(t *testing.T) {
 	// A profile measured only up to MaxK must carry its last (≈1) value
 	// forward so AvgNodesToReconstruct is not underestimated.
 	g := mirrorGraph(8)
-	p, err := FailureProfile(g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1, MaxK: 10})
+	p, err := FailureProfileCtx(context.Background(), g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1, MaxK: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := FailureProfile(g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1})
+	full, err := FailureProfileCtx(context.Background(), g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +278,7 @@ func TestProfilePartialRangeMonotoneExtension(t *testing.T) {
 
 func TestProfileFailFractionBounds(t *testing.T) {
 	g := mirrorGraph(4)
-	p, err := FailureProfile(g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 3})
+	p, err := FailureProfileCtx(context.Background(), g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,5 +290,35 @@ func TestProfileFailFractionBounds(t *testing.T) {
 	}
 	if p.FailFraction(0) != 0 {
 		t.Error("k=0 should report 0")
+	}
+}
+
+// TestFailureProfileTallyPin pins every point of one tornado96 profile at
+// a fixed seed: the exact points (k = 1, 2, 94, 95, 96) and the sampled
+// ones, whose hit counts fix the raw-seed RNG stream each sampled block
+// draws. The counts were recorded from the profile sampler that preceded
+// StratifiedSampler.SampleBlock, so the sampler change is pinned to
+// reproduce its tallies exactly.
+func TestFailureProfileTallyPin(t *testing.T) {
+	g, err := graphml.ReadFile("../../precompiled/tornado96-1.graphml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const trials = 1000
+	p, err := FailureProfileCtx(context.Background(), g, ProfileOptions{Trials: trials, Seed: 2006})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int64{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 2, 5, 5, 11, 10, 10, 18, 16,
+		27, 37, 49, 60, 80, 108, 129, 158, 225, 290, 346, 461, 531, 606, 679, 764, 850, 901,
+		952, 977, 993, 998}
+	for k := len(want); k <= 93; k++ {
+		want = append(want, trials) // saturated: every sampled pattern fails
+	}
+	want = append(want, 4560, 96, 1) // k = 94, 95, 96: exact, every pattern fails
+	for k, f := range p.Fail {
+		if f.Hits != want[k] {
+			t.Errorf("k=%d: %d hits, want %d", k, f.Hits, want[k])
+		}
 	}
 }

@@ -10,11 +10,11 @@ import (
 	"tornado/internal/graph"
 )
 
-// This file drives decode.SlicedKernel from the exhaustive scans: 64
-// erasure patterns per machine word, in exactly the revolving-door rank
-// order of the scalar path, so results are bit-identical and every
-// downstream guarantee (campaign sharding, cached shards, lex-smallest
-// witness merging, worker-count independence) carries over unchanged.
+// This file is the exhaustive scan driver behind ScanRangeCtx: it runs
+// decode.SlicedKernel over 64 erasure patterns per machine word, visiting
+// ranks in revolving-door order, so every downstream guarantee (campaign
+// sharding, cached shards, lex-smallest witness merging, worker-count
+// independence) rests on a pure function of the rank range.
 //
 // The word layout falls out of Algorithm R itself (Knuth 7.2.1.3): the
 // enumeration's "easy step" moves only the smallest element idx[0] —
@@ -39,7 +39,7 @@ import (
 // spelled out at runCertificate and in DESIGN.md "Decoder kernels".
 
 // slicedScanner is the per-range state of a sliced scan. Not safe for
-// concurrent use; ExhaustiveKKernelCtx builds one per worker.
+// concurrent use; ExhaustiveKCtx builds one per worker.
 type slicedScanner struct {
 	csr  *decode.CSR
 	data int32
@@ -99,7 +99,7 @@ type slicedScanner struct {
 
 	// onVerdict, when set, observes every pattern's rank and verdict —
 	// including certificate-pruned lanes that never reach the fixpoint —
-	// so tests can re-check pruning soundness against the scalar kernel.
+	// so tests can re-check pruning soundness against a reference decoder.
 	// The idx slice is reused; don't retain. Forces per-word batch
 	// flushes so verdicts arrive in rank order.
 	onVerdict func(rank int64, idx []int, recoverable bool)
@@ -584,10 +584,10 @@ func (s *slicedScanner) hookWord(res *RangeResult, idx []int, laneRank int64, c0
 	}
 }
 
-// scanRangeSliced is the KernelSliced body of ScanRangeKernelCtx: same
-// contract and bit-identical results as the scalar ScanRangeCtx, with
-// progress counters flushed in evaluated patterns (not words) at the
-// same cancelCheckInterval cadence.
+// scanRangeSliced is the body of ScanRangeCtx. Progress counters are
+// flushed in evaluated patterns (not words) every cancelCheckInterval
+// patterns. hook, when non-nil, receives every verdict in rank order (see
+// slicedScanner.onVerdict); production callers pass nil.
 func scanRangeSliced(ctx context.Context, g *graph.Graph, k int, lo, hi int64, maxFailures int, hook func(int64, []int, bool)) (RangeResult, error) {
 	if k < 1 || k > g.Total {
 		return RangeResult{}, fmt.Errorf("sim: cardinality %d out of range for %d nodes", k, g.Total)

@@ -4,14 +4,53 @@ import (
 	"context"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"tornado/internal/combin"
+	"tornado/internal/core"
 	"tornado/internal/decode"
 	"tornado/internal/graph"
 	"tornado/internal/graphml"
 	"tornado/internal/obs"
 )
+
+// oracleScanRange is the scan oracle the sliced driver is checked
+// against: it shares nothing with the driver but recordFailure — every
+// rank is unranked from scratch and decided by the reference peeling
+// decoder, one pattern at a time. The rank range is split across
+// GOMAXPROCS goroutines only to bound the test's wall time; each part's
+// witnesses are folded back in through recordFailure.
+func oracleScanRange(g *graph.Graph, k int, lo, hi int64, maxFailures int) RangeResult {
+	parts := make([]RangeResult, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i := range parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			idx := make([]int, k)
+			for r := lo + int64(i); r < hi; r += int64(len(parts)) {
+				combin.GrayUnrank(idx, g.Total, r)
+				parts[i].Tested++
+				if !decode.ReferenceRecoverable(g, idx) {
+					parts[i].FailureCount++
+					parts[i].Failures = recordFailure(parts[i].Failures, idx, maxFailures)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	var res RangeResult
+	for _, p := range parts {
+		res.Tested += p.Tested
+		res.FailureCount += p.FailureCount
+		for _, f := range p.Failures {
+			res.Failures = recordFailure(res.Failures, f, maxFailures)
+		}
+	}
+	return res
+}
 
 // slicedTestGraphs returns small, structurally diverse graphs whose rank
 // spaces are exhaustively scannable in a test: mirrored systems (dense
@@ -56,34 +95,49 @@ func slicedTestGraphs(t *testing.T) []*graph.Graph {
 }
 
 // TestSlicedScanMatchesScalarExhaustive scans every whole rank space of
-// every small graph at k ≤ 5 with both kernels: RangeResults (counts AND
-// witness lists) must be bit-identical.
+// every small graph at k ≤ 5, and of an unscreened n=256 graph (four mask
+// words) at k ≤ 3, and compares against the one-pattern-at-a-time scalar
+// oracle: RangeResults (counts AND witness lists) must be bit-identical.
 func TestSlicedScanMatchesScalarExhaustive(t *testing.T) {
 	ctx := context.Background()
-	for gi, g := range slicedTestGraphs(t) {
-		for k := 1; k <= min(5, g.Total); k++ {
+	type tc struct {
+		g    *graph.Graph
+		maxK int
+	}
+	var cases []tc
+	for _, g := range slicedTestGraphs(t) {
+		cases = append(cases, tc{g, 5})
+	}
+	p := core.DefaultParams()
+	p.TotalNodes = 256
+	wide, err := core.GenerateUnscreened(p, rand.New(rand.NewPCG(256, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, tc{wide, 3})
+	for gi, c := range cases {
+		g := c.g
+		for k := 1; k <= min(c.maxK, g.Total); k++ {
 			total, ok := combin.BinomialInt64(g.Total, k)
 			if !ok {
 				t.Fatal("rank space overflow")
 			}
-			want, err := ScanRangeCtx(ctx, g, k, 0, total, int(total))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := ScanRangeKernelCtx(ctx, g, k, 0, total, int(total), KernelSliced)
+			want := oracleScanRange(g, k, 0, total, int(total))
+			got, err := ScanRangeCtx(ctx, g, k, 0, total, int(total))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("graph %d k=%d: sliced %+v, scalar %+v", gi, k, got, want)
+				t.Fatalf("graph %d (n=%d) k=%d: sliced %+v, oracle %+v", gi, g.Total, k, got, want)
 			}
 		}
 	}
 }
 
-// TestSlicedScanSubranges compares the kernels on random, deliberately
-// word-unaligned subranges — the shard shapes campaign tiling produces —
-// including a small maxFailures cap so witness truncation is identical.
+// TestSlicedScanSubranges compares the sliced scan with the oracle on
+// random, deliberately word-unaligned subranges — the shard shapes
+// campaign tiling produces — including a small maxFailures cap so witness
+// truncation is identical.
 func TestSlicedScanSubranges(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewPCG(9, 0x5AB))
@@ -94,16 +148,13 @@ func TestSlicedScanSubranges(t *testing.T) {
 				lo := rng.Int64N(total)
 				hi := lo + rng.Int64N(total-lo+1)
 				maxF := 1 + int(rng.Int64N(4))
-				want, err := ScanRangeCtx(ctx, g, k, lo, hi, maxF)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := ScanRangeKernelCtx(ctx, g, k, lo, hi, maxF, KernelSliced)
+				want := oracleScanRange(g, k, lo, hi, maxF)
+				got, err := ScanRangeCtx(ctx, g, k, lo, hi, maxF)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("graph %d k=%d [%d,%d) maxF=%d: sliced %+v, scalar %+v",
+					t.Fatalf("graph %d k=%d [%d,%d) maxF=%d: sliced %+v, oracle %+v",
 						gi, k, lo, hi, maxF, got, want)
 				}
 			}
@@ -111,24 +162,23 @@ func TestSlicedScanSubranges(t *testing.T) {
 	}
 }
 
-// TestSlicedWorkerIndependence: 1/4/16 workers must produce bit-identical
-// KResults from the sliced path, all equal to the scalar result — the
+// TestSlicedWorkerIndependence: 1/3/4/16 workers must produce
+// bit-identical KResults, all equal to the oracle's whole-space scan — the
 // worker-count-determinism guarantee the campaign layer rests on.
 func TestSlicedWorkerIndependence(t *testing.T) {
 	ctx := context.Background()
 	g := mirrorGraph(8) // k=3 has many failures → witness merging is exercised
 	for k := 2; k <= 3; k++ {
-		want, err := ExhaustiveKCtx(ctx, g, k, 8, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 4, 16} {
-			got, err := ExhaustiveKKernelCtx(ctx, g, k, 8, workers, KernelSliced)
+		total, _ := combin.BinomialInt64(g.Total, k)
+		rr := oracleScanRange(g, k, 0, total, 8)
+		want := KResult{K: k, Tested: rr.Tested, FailureCount: rr.FailureCount, Failures: rr.Failures}
+		for _, workers := range []int{1, 3, 4, 16} {
+			got, err := ExhaustiveKCtx(ctx, g, k, 8, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("k=%d workers=%d: sliced %+v, scalar %+v", k, workers, got, want)
+				t.Fatalf("k=%d workers=%d: sliced %+v, oracle %+v", k, workers, got, want)
 			}
 		}
 	}
@@ -196,8 +246,8 @@ func TestSlicedPruningSoundness(t *testing.T) {
 	}
 }
 
-// TestSlicedGoldenTornado96 pins the sliced path against the precompiled
-// scalar certification results of the three paper graphs: per-k tested /
+// TestSlicedGoldenTornado96 pins the scan against the precompiled
+// certification results of the three paper graphs: per-k tested /
 // failure counts, first failure, and the exact critical sets. Graphs 2
 // and 3 first fail at k=4; graph 1 survives to k=5 with 16 critical sets
 // (61M patterns — the sliced kernel's home turf).
@@ -251,10 +301,7 @@ func TestSlicedGoldenTornado96(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := WorstCaseCtx(context.Background(), g, WorstCaseOptions{
-				MaxK:   5,
-				Kernel: KernelSliced,
-			})
+			res, err := WorstCaseCtx(context.Background(), g, WorstCaseOptions{MaxK: 5})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -282,25 +329,6 @@ func TestSlicedGoldenTornado96(t *testing.T) {
 	}
 }
 
-// TestScanKernelValidation: an unknown kernel name is an error at every
-// entry point, and the "scalar" alias is accepted.
-func TestScanKernelValidation(t *testing.T) {
-	g := mirrorGraph(4)
-	ctx := context.Background()
-	if _, err := ScanRangeKernelCtx(ctx, g, 2, 0, 1, 1, ScanKernel("simd")); err == nil {
-		t.Error("unknown kernel accepted by ScanRangeKernelCtx")
-	}
-	if _, err := ExhaustiveKKernelCtx(ctx, g, 2, 1, 1, ScanKernel("simd")); err == nil {
-		t.Error("unknown kernel accepted by ExhaustiveKKernelCtx")
-	}
-	if _, err := WorstCaseCtx(ctx, g, WorstCaseOptions{MaxK: 2, Kernel: "simd"}); err == nil {
-		t.Error("unknown kernel accepted by WorstCaseCtx")
-	}
-	if _, err := ScanRangeKernelCtx(ctx, g, 2, 0, 1, 1, "scalar"); err != nil {
-		t.Errorf(`"scalar" alias rejected: %v`, err)
-	}
-}
-
 // benchmark-style sanity: the sliced whole-space scan of the 96-node
 // graph at k=3 in a plain test keeps the run honest on CI without the
 // full benchreport (the 8× gate lives there).
@@ -308,29 +336,26 @@ func TestSlicedScanRange96Smoke(t *testing.T) {
 	g := ctxTestGraph(t)
 	const k = 3
 	total, _ := combin.BinomialInt64(g.Total, k)
-	want, err := ScanRangeCtx(context.Background(), g, k, 0, total, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ScanRangeKernelCtx(context.Background(), g, k, 0, total, 8, KernelSliced)
+	want := oracleScanRange(g, k, 0, total, 8)
+	got, err := ScanRangeCtx(context.Background(), g, k, 0, total, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("sliced %+v, scalar %+v", got, want)
+		t.Fatalf("sliced %+v, oracle %+v", got, want)
 	}
 }
 
-// TestSlicedK6SpotCheck spot-checks the sliced kernel at k=6 on a real
-// certified graph — the cardinality the full-graph exhaustive tests stop
-// short of (C(96,6) = 927M patterns). Erasure failure is monotone, so
-// tornado96-1's pinned k=5 critical set {1,9,10,16,17} plus any sixth
-// node must fail; the test scans a 4M-pattern window centered on one
-// such witness and requires the sliced and scalar kernels to return
-// byte-identical results, including at least that one failure.
+// TestSlicedK6SpotCheck spot-checks the scan at k=6 on a real certified
+// graph — the cardinality the full-graph exhaustive tests stop short of
+// (C(96,6) = 927M patterns). Erasure failure is monotone, so tornado96-1's
+// pinned k=5 critical set {1,9,10,16,17} plus any sixth node must fail;
+// the test scans a 4M-pattern window centered on one such witness and
+// requires the result to equal the oracle's, including at least that one
+// failure.
 func TestSlicedK6SpotCheck(t *testing.T) {
 	if testing.Short() {
-		t.Skip("k=6 spot check (4M patterns, scalar and sliced) skipped in -short mode")
+		t.Skip("k=6 spot check (4M patterns, sliced and oracle) skipped in -short mode")
 	}
 	g, err := graphml.ReadFile("../../precompiled/tornado96-1.graphml")
 	if err != nil {
@@ -338,7 +363,7 @@ func TestSlicedK6SpotCheck(t *testing.T) {
 	}
 	const k = 6
 	witness := []int{1, 9, 10, 16, 17, 18}
-	if decode.NewKernel(decode.NewCSR(g)).Recoverable(witness) {
+	if decode.ReferenceRecoverable(g, witness) {
 		t.Fatalf("witness %v is a superset of a pinned k=5 critical set and must fail", witness)
 	}
 	total, ok := combin.BinomialInt64(g.Total, k)
@@ -347,18 +372,15 @@ func TestSlicedK6SpotCheck(t *testing.T) {
 	}
 	r := combin.GrayRank(witness, g.Total)
 	lo, hi := max(r-2<<20, 0), min(r+2<<20, total)
-	scalar, err := ScanRangeCtx(context.Background(), g, k, lo, hi, 64)
+	want := oracleScanRange(g, k, lo, hi, 64)
+	got, err := ScanRangeCtx(context.Background(), g, k, lo, hi, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sliced, err := ScanRangeKernelCtx(context.Background(), g, k, lo, hi, 64, KernelSliced)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("k=6 window [%d,%d): sliced %+v != oracle %+v", lo, hi, got, want)
 	}
-	if !reflect.DeepEqual(scalar, sliced) {
-		t.Fatalf("k=6 window [%d,%d): scalar %+v != sliced %+v", lo, hi, scalar, sliced)
-	}
-	if scalar.FailureCount == 0 {
+	if got.FailureCount == 0 {
 		t.Fatalf("k=6 window [%d,%d) around witness rank %d found no failures", lo, hi, r)
 	}
 }

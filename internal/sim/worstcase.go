@@ -6,10 +6,9 @@
 // owns a private decoder and enumerates a contiguous rank range of the
 // combination space.
 //
-// Every long-running entry point has a context-first variant (WorstCaseCtx,
-// FailureProfileCtx, OverheadCtx, SimulateLifetimeCtx) whose workers check
-// cancellation at combination-chunk boundaries; the short names delegate
-// with context.Background().
+// Every long-running entry point takes a context first (WorstCaseCtx,
+// FailureProfileCtx, SampleStratifiedCtx, OverheadCtx, SimulateLifetimeCtx);
+// workers check cancellation at combination-chunk boundaries.
 package sim
 
 import (
@@ -19,7 +18,6 @@ import (
 	"sync"
 
 	"tornado/internal/combin"
-	"tornado/internal/decode"
 	"tornado/internal/graph"
 )
 
@@ -37,9 +35,6 @@ type WorstCaseOptions struct {
 	// one is found (the default stops at the first failing cardinality,
 	// which defines the worst case).
 	KeepGoing bool
-	// Kernel selects the evaluation kernel behind the scans. Default
-	// KernelScalar; see ScanKernel.
-	Kernel ScanKernel
 }
 
 func (o WorstCaseOptions) normalize() WorstCaseOptions {
@@ -47,36 +42,6 @@ func (o WorstCaseOptions) normalize() WorstCaseOptions {
 	o.MaxFailures = intOr(o.MaxFailures, DefaultMaxFailures)
 	o.Workers = defaultWorkers(o.Workers)
 	return o
-}
-
-// ScanKernel selects the evaluation kernel behind the exhaustive scans.
-// Every kernel visits combinations in the same revolving-door rank order
-// and produces bit-identical KResult/RangeResult values — the choice is a
-// pure speed/implementation trade, which is what lets campaign shards,
-// cached results, and golden pins compare across kernels.
-type ScanKernel string
-
-const (
-	// KernelScalar is the incremental peeling kernel advanced by two-node
-	// revolving-door deltas, one pattern per step (PR 4). The zero value,
-	// and the default. "scalar" is accepted as an alias.
-	KernelScalar ScanKernel = ""
-	// KernelSliced is the bit-sliced 64-lane kernel: combinations are
-	// decomposed into revolving-door runs where only the smallest element
-	// sweeps, and each run is evaluated 64 patterns per word with
-	// certificate-guided pruning (see decode.SlicedKernel and
-	// scanRangeSliced).
-	KernelSliced ScanKernel = "sliced"
-)
-
-// Validate reports whether k names a known scan kernel ("", "scalar", or
-// "sliced").
-func (k ScanKernel) Validate() error {
-	switch k {
-	case KernelScalar, "scalar", KernelSliced:
-		return nil
-	}
-	return fmt.Errorf("sim: unknown scan kernel %q", string(k))
 }
 
 // KResult reports the exhaustive examination of one erasure cardinality.
@@ -109,25 +74,17 @@ func (r WorstCaseResult) FailureCountAt(k int) int64 {
 	return 0
 }
 
-// WorstCase exhaustively searches erasure combinations of increasing
+// WorstCaseCtx exhaustively searches erasure combinations of increasing
 // cardinality for the graph's worst-case failure scenario (paper §3:
-// "(96 choose 1 lost block) through (96 choose 6)").
-func WorstCase(g *graph.Graph, opts WorstCaseOptions) (WorstCaseResult, error) {
-	return WorstCaseCtx(context.Background(), g, opts)
-}
-
-// WorstCaseCtx is WorstCase with cancellation: workers observe ctx at
-// combination-chunk boundaries, so cancellation returns (with the
+// "(96 choose 1 lost block) through (96 choose 6)"). Workers observe ctx
+// at combination-chunk boundaries, so cancellation returns (with the
 // cardinalities completed so far and ctx.Err()) within one chunk of
 // decoding work.
 func WorstCaseCtx(ctx context.Context, g *graph.Graph, opts WorstCaseOptions) (WorstCaseResult, error) {
 	opts = opts.normalize()
-	if err := opts.Kernel.Validate(); err != nil {
-		return WorstCaseResult{}, err
-	}
 	var res WorstCaseResult
 	for k := 1; k <= opts.MaxK; k++ {
-		kr, err := ExhaustiveKKernelCtx(ctx, g, k, opts.MaxFailures, opts.Workers, opts.Kernel)
+		kr, err := ExhaustiveKCtx(ctx, g, k, opts.MaxFailures, opts.Workers)
 		if err != nil {
 			return res, err
 		}
@@ -144,25 +101,13 @@ func WorstCaseCtx(ctx context.Context, g *graph.Graph, opts WorstCaseOptions) (W
 	return res, nil
 }
 
-// ExhaustiveK examines every erasure combination of exactly k of the
+// ExhaustiveKCtx examines every erasure combination of exactly k of the
 // graph's nodes, returning the exact failure count and up to maxFailures
-// recorded failing sets. The rank space is split across workers.
-func ExhaustiveK(g *graph.Graph, k, maxFailures, workers int) (KResult, error) {
-	return ExhaustiveKCtx(context.Background(), g, k, maxFailures, workers)
-}
-
-// ExhaustiveKCtx is ExhaustiveK with cancellation (checked every
-// cancelCheckInterval combinations per worker).
+// recorded failing sets. The rank space is split across workers, each
+// running ScanRangeCtx over its range; the result is bit-identical at any
+// worker count. Cancellation is checked every cancelCheckInterval
+// combinations per worker.
 func ExhaustiveKCtx(ctx context.Context, g *graph.Graph, k, maxFailures, workers int) (KResult, error) {
-	return ExhaustiveKKernelCtx(ctx, g, k, maxFailures, workers, KernelScalar)
-}
-
-// ExhaustiveKKernelCtx is ExhaustiveKCtx with an explicit kernel choice.
-// The result is bit-identical across kernels and worker counts.
-func ExhaustiveKKernelCtx(ctx context.Context, g *graph.Graph, k, maxFailures, workers int, kernel ScanKernel) (KResult, error) {
-	if err := kernel.Validate(); err != nil {
-		return KResult{}, err
-	}
 	if k < 1 || k > g.Total {
 		return KResult{}, fmt.Errorf("sim: cardinality %d out of range for %d nodes", k, g.Total)
 	}
@@ -180,7 +125,7 @@ func ExhaustiveKKernelCtx(ctx context.Context, g *graph.Graph, k, maxFailures, w
 		wg.Add(1)
 		go func(i int, lo, hi int64) {
 			defer wg.Done()
-			rrs[i], errs[i] = ScanRangeKernelCtx(ctx, g, k, lo, hi, maxFailures, kernel)
+			rrs[i], errs[i] = ScanRangeCtx(ctx, g, k, lo, hi, maxFailures)
 		}(i, rg[0], rg[1])
 	}
 	wg.Wait()
@@ -228,11 +173,10 @@ type RangeResult struct {
 // ScanRangeCtx examines every erasure combination of cardinality k whose
 // revolving-door rank (combin.GrayRank) lies in [lo, hi), single-threaded,
 // recording the range's lexicographically smallest failing sets (up to
-// maxFailures). The revolving-door order means
-// consecutive combinations differ by one swapped element, so the scan
-// advances the incremental peeling kernel by a two-node erase/restore delta
-// per pattern instead of erasing and resetting all k nodes — this loop is
-// the system's decode hot path (see DESIGN.md "Decoder kernels").
+// maxFailures). It is the system's decode hot path: the bit-sliced scan of
+// sliced.go evaluates 64 patterns per word and proves most of them
+// recoverable by certificate without peeling (see DESIGN.md "Decoder
+// kernels").
 //
 // ScanRangeCtx is deterministic in its arguments, which is what makes
 // campaign shards resumable: re-scanning the same range always reproduces
@@ -241,73 +185,7 @@ type RangeResult struct {
 // boundaries, and progress counters are flushed to Metrics() at the same
 // cadence.
 func ScanRangeCtx(ctx context.Context, g *graph.Graph, k int, lo, hi int64, maxFailures int) (RangeResult, error) {
-	return scanRangeScalar(ctx, g, k, lo, hi, maxFailures)
-}
-
-// ScanRangeKernelCtx is ScanRangeCtx with an explicit kernel choice. Both
-// kernels visit the same revolving-door rank order and return bit-identical
-// results; KernelSliced evaluates 64 patterns per word (see sliced.go).
-func ScanRangeKernelCtx(ctx context.Context, g *graph.Graph, k int, lo, hi int64, maxFailures int, kernel ScanKernel) (RangeResult, error) {
-	if err := kernel.Validate(); err != nil {
-		return RangeResult{}, err
-	}
-	if kernel == KernelSliced {
-		return scanRangeSliced(ctx, g, k, lo, hi, maxFailures, nil)
-	}
-	return ScanRangeCtx(ctx, g, k, lo, hi, maxFailures)
-}
-
-func scanRangeScalar(ctx context.Context, g *graph.Graph, k int, lo, hi int64, maxFailures int) (RangeResult, error) {
-	if k < 1 || k > g.Total {
-		return RangeResult{}, fmt.Errorf("sim: cardinality %d out of range for %d nodes", k, g.Total)
-	}
-	total, ok := combin.BinomialInt64(g.Total, k)
-	if !ok {
-		return RangeResult{}, fmt.Errorf("sim: C(%d,%d) exceeds the exhaustive rank space (%w); use the sampled certification spec for archival-scale graphs", g.Total, k, combin.ErrRankOverflow)
-	}
-	if lo < 0 || hi > total || lo > hi {
-		return RangeResult{}, fmt.Errorf("sim: rank range [%d,%d) outside [0,%d)", lo, hi, total)
-	}
-	if lo == hi {
-		return RangeResult{}, nil
-	}
-	reg := Metrics()
-	tested := reg.Counter(MetricCombinationsTested)
-	found := reg.Counter(MetricFailuresFound)
-
-	kn := decode.NewKernel(decode.NewCSR(g))
-	idx := make([]int, k)
-	combin.GrayUnrank(idx, g.Total, lo)
-	for _, v := range idx {
-		kn.EraseOne(v)
-	}
-	var res RangeResult
-	var lastFlushTested, lastFlushFails int64
-	untilCheck := int64(0) // countdown, not modulo: this loop runs per pattern
-	for r := lo; r < hi; r++ {
-		if untilCheck == 0 {
-			if ctx.Err() != nil {
-				return RangeResult{}, ctx.Err()
-			}
-			tested.Add(res.Tested - lastFlushTested)
-			found.Add(res.FailureCount - lastFlushFails)
-			lastFlushTested, lastFlushFails = res.Tested, res.FailureCount
-			untilCheck = cancelCheckInterval
-		}
-		untilCheck--
-		res.Tested++
-		if !kn.Eval() {
-			res.FailureCount++
-			res.Failures = recordFailure(res.Failures, idx, maxFailures)
-		}
-		if r+1 < hi {
-			out, in, _ := combin.GrayNext(idx, g.Total)
-			kn.Swap(out, in)
-		}
-	}
-	tested.Add(res.Tested - lastFlushTested)
-	found.Add(res.FailureCount - lastFlushFails)
-	return res, nil
+	return scanRangeSliced(ctx, g, k, lo, hi, maxFailures, nil)
 }
 
 // recordFailure maintains fs as the lexicographically smallest failing sets
@@ -317,19 +195,10 @@ func scanRangeScalar(ctx context.Context, g *graph.Graph, k int, lo, hi int64, m
 // [0, C(total,k)) reproduces the same global prefix regardless of worker
 // count or shard schedule.
 func recordFailure(fs [][]int, idx []int, maxFailures int) [][]int {
-	if maxFailures <= 0 {
+	pos, _ := slices.BinarySearchFunc(fs, idx, slices.Compare)
+	if pos >= maxFailures {
 		return fs
 	}
-	pos, _ := slices.BinarySearchFunc(fs, idx, slices.Compare)
-	if pos == len(fs) {
-		if len(fs) == maxFailures {
-			return fs
-		}
-		return append(fs, slices.Clone(idx))
-	}
 	fs = slices.Insert(fs, pos, slices.Clone(idx))
-	if len(fs) > maxFailures {
-		fs = fs[:maxFailures]
-	}
-	return fs
+	return fs[:min(len(fs), maxFailures)]
 }

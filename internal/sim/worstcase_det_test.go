@@ -16,7 +16,7 @@ func TestExhaustiveKFailuresWorkerIndependent(t *testing.T) {
 	g := mirrorGraph(8) // k=3: every set containing a mirrored pair fails
 	const k, maxFailures = 3, 10
 
-	base, err := ExhaustiveK(g, k, maxFailures, 1)
+	base, err := ExhaustiveKCtx(context.Background(), g, k, maxFailures, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestExhaustiveKFailuresWorkerIndependent(t *testing.T) {
 		t.Fatalf("recorded %d failures, want the full cap %d", len(base.Failures), maxFailures)
 	}
 	for _, workers := range []int{2, 3, 8} {
-		kr, err := ExhaustiveK(g, k, maxFailures, workers)
+		kr, err := ExhaustiveKCtx(context.Background(), g, k, maxFailures, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +38,7 @@ func TestExhaustiveKFailuresWorkerIndependent(t *testing.T) {
 
 	// The recorded sets are exactly the lexicographic head of the full
 	// failure population.
-	all, err := ExhaustiveK(g, k, int(base.FailureCount), 4)
+	all, err := ExhaustiveKCtx(context.Background(), g, k, int(base.FailureCount), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

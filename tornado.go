@@ -25,7 +25,8 @@
 // deadlines — worker loops check the context at combination-chunk
 // boundaries, so cancellation returns promptly (with ctx.Err()) instead of
 // finishing a multi-minute search. The short name is a thin
-// backward-compatible wrapper that delegates with context.Background().
+// backward-compatible wrapper that delegates with context.Background();
+// the internal packages expose only the ctx-first form.
 // The pairs are WorstCase/WorstCaseCtx, Profile/ProfileCtx,
 // Certify/CertifyCtx, ClearCardinality/ClearCardinalityCtx, Improve/ImproveCtx,
 // MeasureOverhead/MeasureOverheadCtx, and
@@ -81,23 +82,12 @@ type (
 	Defect = defect.Finding
 	// DecodeResult reports a structural decode (lost nodes on failure).
 	DecodeResult = decode.Result
-	// ScanKernel selects the evaluation kernel used by exhaustive scans.
-	ScanKernel = sim.ScanKernel
 	// CertifyOptions tunes the archival-scale sampled certification.
 	CertifyOptions = sim.SampledOptions
 	// CertifyResult reports a sampled certification: pooled failure tally
 	// with Wilson CI, collision-count strata, screening rate, and the
 	// precision trajectory.
 	CertifyResult = sim.SampledResult
-)
-
-// Scan kernel selectors for WorstCaseOptions.Kernel and CampaignSpec.Kernel.
-// Both kernels produce bit-identical results; KernelSliced evaluates 64
-// erasure patterns per pass and prunes lanes a peeling certificate proves
-// recoverable.
-const (
-	KernelScalar = sim.KernelScalar
-	KernelSliced = sim.KernelSliced
 )
 
 // DefaultParams returns the paper's 96-node construction parameters.
@@ -152,7 +142,7 @@ func ScanAllDefectsCtx(ctx context.Context, g *Graph, maxSize, workers int) ([]D
 // graphs whose erasure spaces overflow exhaustive rank arithmetic
 // (WorstCase at n=100,000 fails with a rank-overflow error pointing here).
 func Certify(g *Graph, k int, opts CertifyOptions) (*CertifyResult, error) {
-	return sim.SampleStratified(g, k, opts)
+	return sim.SampleStratifiedCtx(context.Background(), g, k, opts)
 }
 
 // CertifyCtx is Certify with cancellation, honored at combination-chunk
@@ -172,7 +162,7 @@ func ScanClosedPairs(g *Graph) []Defect {
 // WorstCase runs the exhaustive combinatorial search for the graph's
 // worst-case failure scenario (paper §3).
 func WorstCase(g *Graph, opts WorstCaseOptions) (WorstCaseResult, error) {
-	return sim.WorstCase(g, opts)
+	return sim.WorstCaseCtx(context.Background(), g, opts)
 }
 
 // WorstCaseCtx is WorstCase with cancellation: search workers observe ctx
@@ -186,7 +176,7 @@ func WorstCaseCtx(ctx context.Context, g *Graph, opts WorstCaseOptions) (WorstCa
 // of offline nodes (paper §3), exhaustively where cheap and by Monte Carlo
 // sampling elsewhere.
 func Profile(g *Graph, opts ProfileOptions) (*FailureProfile, error) {
-	return sim.FailureProfile(g, opts)
+	return sim.FailureProfileCtx(context.Background(), g, opts)
 }
 
 // ProfileCtx is Profile with cancellation threaded through the enumeration

@@ -2,8 +2,10 @@ package tornado_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"tornado"
@@ -246,6 +248,51 @@ func TestRecoverableHelper(t *testing.T) {
 	d := tornado.NewDecoder(g)
 	if !d.Recoverable([]int{1}) || d.Recoverable([]int{1, 5}) {
 		t.Error("decoder helper wrong")
+	}
+}
+
+// TestBackgroundWrappersStillWork: the facade's short names are the
+// ctx-first entry points with context.Background(), result for result.
+func TestBackgroundWrappersStillWork(t *testing.T) {
+	g, _, err := tornado.Generate(tornado.DefaultParams(), 2006)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	wc, err := tornado.WorstCase(g, tornado.WorstCaseOptions{MaxK: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wcc, err := tornado.WorstCaseCtx(ctx, g, tornado.WorstCaseOptions{MaxK: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(wc, wcc) {
+		t.Errorf("WorstCase (%+v) and WorstCaseCtx (%+v) disagree", wc, wcc)
+	}
+	popts := tornado.ProfileOptions{Trials: 500, MinK: 20, MaxK: 21, Seed: 3}
+	p, err := tornado.Profile(g, popts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, err := tornado.ProfileCtx(ctx, g, popts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(p, pc) {
+		t.Errorf("Profile and ProfileCtx disagree: %v vs %v", p.Fail[20:22], pc.Fail[20:22])
+	}
+	copts := tornado.CertifyOptions{Seed: 3, MaxTrials: 4096, Epsilon: -1}
+	c, err := tornado.Certify(g, 3, copts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc, err := tornado.CertifyCtx(ctx, g, 3, copts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(c, cc) {
+		t.Errorf("Certify (%+v) and CertifyCtx (%+v) disagree", c, cc)
 	}
 }
 
