@@ -60,7 +60,8 @@ fuzz:
 # critical sets jointly recoverable, zero residue after a full site wipe,
 # every cross-site repair byte attributed), and the certify gates (CI
 # half-width target reached, structural screen >= 90%, no per-trial
-# allocation in the sampler hot loop).
+# allocation in the sampler hot loop, decode.NewCSR's allocation within
+# the linear-in-edges decode.CSRAllocBound).
 bench:
 	$(GO) run ./cmd/benchreport -check
 

@@ -22,7 +22,9 @@ import (
 // -check gates assert the half-width target is met, screening resolves the
 // overwhelming majority of patterns, and the SampleBlock hot loop performs
 // no per-trial allocations (allocs per block are identical across an 8x
-// trial-count spread).
+// trial-count spread), and NewCSR allocates memory linear in the graph:
+// the dense mask tables are built only by the consumers that read them
+// (the exhaustive scan and the planner's Kernel), never on this path.
 
 // certifyNodes is the graph size of the certify section: the archival
 // scale the streaming generation path and stratified sampler target.
@@ -71,6 +73,11 @@ type certifyReport struct {
 	// doubling round of the stopping-rule schedule.
 	Rounds     []certifyRound `json:"rounds"`
 	Benchmarks []result       `json:"benchmarks"`
+	// CSRAllocBytes is what decode.NewCSR allocated for this graph
+	// (TotalAlloc delta), and CSRAllocBound the linear-in-edges ceiling
+	// decode.CSRAllocBound sets for it. CI gates bytes <= bound.
+	CSRAllocBytes uint64 `json:"csr_alloc_bytes"`
+	CSRAllocBound uint64 `json:"csr_alloc_bound"`
 	// SamplerAllocDelta is allocs/op of the large block minus the small
 	// one. Zero means SampleBlock's allocations are a per-call constant —
 	// the hot loop itself allocates nothing per trial. CI gates this at 0.
@@ -114,7 +121,12 @@ func certifySection() certifyReport {
 		crep.Rounds = append(crep.Rounds, certifyRound{Trials: rd.Trials, HalfWidth: rd.HalfWidth})
 	}
 
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	c := decode.NewCSR(g)
+	runtime.ReadMemStats(&after)
+	crep.CSRAllocBytes = after.TotalAlloc - before.TotalAlloc
+	crep.CSRAllocBound = decode.CSRAllocBound(g.EdgeCount(), g.Total)
 	crep.Benchmarks = append(crep.Benchmarks,
 		run("sampled_block_4k", certifyBlockSmall, false, func(b *testing.B) {
 			benchSampledBlock(b, c, certifyBlockSmall)
@@ -151,6 +163,11 @@ func checkCertify(crep certifyReport) bool {
 	if crep.SamplerAllocDelta != 0 {
 		fmt.Fprintf(os.Stderr, "benchreport: SampleBlock allocs grew by %d across an 8x trial-count spread (%d -> %d); the sampler hot loop must not allocate per trial\n",
 			crep.SamplerAllocDelta, crep.Benchmarks[0].AllocsPerOp, crep.Benchmarks[1].AllocsPerOp)
+		failed = true
+	}
+	if crep.CSRAllocBytes > crep.CSRAllocBound {
+		fmt.Fprintf(os.Stderr, "benchreport: NewCSR allocated %d bytes at n=%d, above the linear-in-edges bound %d; the CSR must not build dense per-node tables\n",
+			crep.CSRAllocBytes, crep.Nodes, crep.CSRAllocBound)
 		failed = true
 	}
 	if crep.CIHalfWidth > crep.Epsilon {

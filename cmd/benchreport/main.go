@@ -254,12 +254,13 @@ func main() {
 
 	// The certify report: archival-scale sampled certification on a
 	// streamed n=10,000 graph — throughput to the 1e-4 CI target, the
-	// precision trajectory, the screening rate, and the sampler's fixed
-	// per-block allocation profile.
+	// precision trajectory, the screening rate, the sampler's fixed
+	// per-block allocation profile, and the CSR's linear memory.
 	crep := certifySection()
-	fmt.Printf("certify: n=%d k=%d, %d trials to CI half-width %.2e in %.2fs (%.0f patterns/sec, %.1f%% screened, graph streamed in %.0fms)\n",
+	fmt.Printf("certify: n=%d k=%d, %d trials to CI half-width %.2e in %.2fs (%.0f patterns/sec, %.1f%% screened, graph streamed in %.0fms, CSR %d KiB of %d bound)\n",
 		crep.Nodes, crep.K, crep.Trials, crep.CIHalfWidth, crep.CertifySeconds,
-		crep.PatternsPerSec, 100*crep.ScreenRate, 1000*crep.GenerateSeconds)
+		crep.PatternsPerSec, 100*crep.ScreenRate, 1000*crep.GenerateSeconds,
+		crep.CSRAllocBytes>>10, crep.CSRAllocBound>>10)
 	writeJSON(*certifyOut, crep)
 
 	if *check {

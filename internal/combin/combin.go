@@ -174,42 +174,43 @@ func Unrank(idx []int, n int, r int64) {
 	}
 }
 
-// RandomSubset fills idx with a uniformly random k-subset of {0,…,n-1} in
-// increasing order using Floyd's algorithm. The scratch map avoids
-// allocation across calls when reused; pass nil to allocate internally.
-func RandomSubset(idx []int, n int, rng *rand.Rand, scratch map[int]bool) {
-	k := len(idx)
-	if k > n {
-		panic(fmt.Sprintf("combin: k=%d exceeds n=%d", k, n))
-	}
-	if scratch == nil {
-		scratch = make(map[int]bool, k)
-	} else {
-		clear(scratch)
-	}
-	i := 0
-	for j := n - k; j < n; j++ {
-		t := rng.IntN(j + 1)
-		if scratch[t] {
-			t = j
-		}
-		scratch[t] = true
-		idx[i] = t
-		i++
-	}
-	// Floyd's algorithm yields an unordered set; sort in place (k is small).
-	insertionSort(idx)
+// SubsetDraw draws uniformly random k-subsets of {0,…,n-1} by Floyd's
+// algorithm. Membership during a draw is an epoch-stamped per-element
+// array, so a draw costs k RNG calls and k array probes — no map, no
+// clearing, no allocation. A SubsetDraw is not safe for concurrent use.
+type SubsetDraw struct {
+	stamp []uint32 // stamp[x] == epoch: x is in the current draw
+	epoch uint32
 }
 
-func insertionSort(a []int) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
+// NewSubsetDraw returns a SubsetDraw over {0,…,n-1}.
+func NewSubsetDraw(n int) *SubsetDraw {
+	return &SubsetDraw{stamp: make([]uint32, n)}
+}
+
+// Draw fills idx with a uniformly random len(idx)-subset, in draw order
+// rather than ascending; callers that need ascending order sort. It makes
+// exactly one rng.IntN(j+1) call per j in [n-k, n), so the set drawn is a
+// pure function of the rng state.
+func (d *SubsetDraw) Draw(idx []int, rng *rand.Rand) {
+	n := len(d.stamp)
+	if len(idx) > n {
+		panic(fmt.Sprintf("combin: k=%d exceeds n=%d", len(idx), n))
+	}
+	d.epoch++
+	if d.epoch == 0 { // wrapped: stale stamps could collide, start over
+		clear(d.stamp)
+		d.epoch = 1
+	}
+	i := 0
+	for j := n - len(idx); j < n; j++ {
+		t := rng.IntN(j + 1)
+		if d.stamp[t] == d.epoch {
+			t = j
 		}
-		a[j+1] = v
+		d.stamp[t] = d.epoch
+		idx[i] = t
+		i++
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -160,17 +161,19 @@ func TestForEachZeroK(t *testing.T) {
 
 func TestRandomSubsetValidity(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
+	d := NewSubsetDraw(96)
 	idx := make([]int, 5)
-	scratch := make(map[int]bool, 5)
 	for trial := 0; trial < 200; trial++ {
-		RandomSubset(idx, 96, rng, scratch)
-		for i := 0; i < len(idx); i++ {
-			if idx[i] < 0 || idx[i] >= 96 {
-				t.Fatalf("element %d out of range", idx[i])
+		d.Draw(idx, rng)
+		seen := make(map[int]bool, len(idx))
+		for _, v := range idx {
+			if v < 0 || v >= 96 {
+				t.Fatalf("element %d out of range", v)
 			}
-			if i > 0 && idx[i] <= idx[i-1] {
-				t.Fatalf("subset not strictly increasing: %v", idx)
+			if seen[v] {
+				t.Fatalf("subset repeats %d: %v", v, idx)
 			}
+			seen[v] = true
 		}
 	}
 }
@@ -179,11 +182,12 @@ func TestRandomSubsetUniformity(t *testing.T) {
 	// Each element of {0..9} should appear in a size-3 subset with
 	// probability 3/10. Chi-square-ish sanity check over many draws.
 	rng := rand.New(rand.NewPCG(7, 7))
+	d := NewSubsetDraw(10)
 	counts := make([]int, 10)
 	idx := make([]int, 3)
 	const trials = 30000
 	for i := 0; i < trials; i++ {
-		RandomSubset(idx, 10, rng, nil)
+		d.Draw(idx, rng)
 		for _, v := range idx {
 			counts[v]++
 		}
@@ -199,10 +203,74 @@ func TestRandomSubsetUniformity(t *testing.T) {
 func TestRandomSubsetFull(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	idx := make([]int, 7)
-	RandomSubset(idx, 7, rng, nil)
+	NewSubsetDraw(7).Draw(idx, rng)
+	slices.Sort(idx)
 	for i, v := range idx {
 		if v != i {
 			t.Fatalf("k=n subset = %v, want identity", idx)
+		}
+	}
+}
+
+// floydReference is the map-and-sort Floyd draw SubsetDraw replaced: the
+// membership set in a map, the result sorted ascending.
+func floydReference(idx []int, n int, rng *rand.Rand) {
+	member := make(map[int]bool, len(idx))
+	i := 0
+	for j := n - len(idx); j < n; j++ {
+		t := rng.IntN(j + 1)
+		if member[t] {
+			t = j
+		}
+		member[t] = true
+		idx[i] = t
+		i++
+	}
+	slices.Sort(idx)
+}
+
+// TestSubsetDrawMatchesReference pins draw parity: fed identical PCG
+// streams, SubsetDraw (sorted afterwards) yields exactly the reference's
+// subsets, draw after draw, so every sampled tally drawn through it is
+// unchanged — including k=1, k=n, and archival n where epochs reuse one
+// stamp array across thousands of draws.
+func TestSubsetDrawMatchesReference(t *testing.T) {
+	for _, c := range []struct{ n, k, draws int }{
+		{10, 1, 5000}, {96, 5, 5000}, {97, 97, 2000}, {100000, 400, 2000},
+	} {
+		seed := uint64(c.n)<<16 | uint64(c.k)
+		got, want := rand.New(rand.NewPCG(seed, 1)), rand.New(rand.NewPCG(seed, 1))
+		d := NewSubsetDraw(c.n)
+		a, b := make([]int, c.k), make([]int, c.k)
+		for i := 0; i < c.draws; i++ {
+			d.Draw(a, got)
+			floydReference(b, c.n, want)
+			slices.Sort(a)
+			if !slices.Equal(a, b) {
+				t.Fatalf("n=%d k=%d draw %d: got %v, reference %v", c.n, c.k, i, a, b)
+			}
+		}
+		if got.Uint64() != want.Uint64() {
+			t.Fatalf("n=%d k=%d: streams diverged after %d draws", c.n, c.k, c.draws)
+		}
+	}
+}
+
+// TestSubsetDrawEpochWrap: when the epoch counter wraps, stale stamps
+// from earlier draws must not read as members of the new one.
+func TestSubsetDrawEpochWrap(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 5))
+	d := NewSubsetDraw(8)
+	idx := make([]int, 8)
+	d.Draw(idx, rng) // stamps every element with epoch 1
+	d.epoch = math.MaxUint32
+	for i := 0; i < 3; i++ {
+		d.Draw(idx, rng)
+		slices.Sort(idx)
+		for j, v := range idx {
+			if v != j {
+				t.Fatalf("draw %d after wrap = %v, want all of 0..7", i, idx)
+			}
 		}
 	}
 }
@@ -240,7 +308,8 @@ func TestQuickRankBijective(t *testing.T) {
 		n := 5 + r.IntN(20)
 		k := 1 + r.IntN(n)
 		idx := make([]int, k)
-		RandomSubset(idx, n, rng, nil)
+		NewSubsetDraw(n).Draw(idx, rng)
+		slices.Sort(idx)
 		rank := Rank(idx, n)
 		total, _ := BinomialInt64(n, k)
 		if rank < 0 || rank >= total {

@@ -95,7 +95,7 @@ func (p Params) validate() error {
 // GenStats reports how generation went.
 type GenStats struct {
 	Attempts  int // graphs generated including the accepted one
-	Discarded int // graphs rejected by defect screening (unrepairable)
+	Discarded int // attempts rejected: unrepairable defects, or a streamed level that could not be wired
 	Rewires   int // defect-opening rewires applied to the accepted graph
 }
 
@@ -161,6 +161,10 @@ func Generate(p Params, rng *rand.Rand) (*graph.Graph, GenStats, error) {
 			g, err = generateStreamOnce(p, rng)
 		} else {
 			g, err = generateOnce(p, rng)
+		}
+		if errors.Is(err, errStreamWiring) {
+			st.Discarded++
+			continue
 		}
 		if err != nil {
 			return nil, st, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"slices"
@@ -16,6 +17,12 @@ import (
 // tests pin); the streaming path trades that bit-compatibility for
 // O(edges) time and memory at archival scale (n = 1k–100k).
 const StreamThreshold = 1024
+
+// errStreamWiring reports a streamed level whose stub shuffles all hit an
+// unrepairable duplicate edge. It is a property of the attempt's random
+// draw, not of the parameters, so Generate discards the attempt and draws
+// again.
+var errStreamWiring = errors.New("core: streamed level wiring exhausted its shuffles")
 
 // pairKernelLimit is the largest C(data, 2) rank space the streaming
 // screen walks with the revolving-door defect kernel. Beyond it (data
@@ -101,7 +108,7 @@ func generateStreamOnce(p Params, rng *rand.Rand) (*graph.Graph, error) {
 // repaired locally by swapping the offending stub with the first
 // compatible stub later in the array, so the whole pass stays O(edges)
 // amortized. The rare shuffle whose tail cannot absorb a repair is
-// redrawn.
+// redrawn; a level that exhausts its redraws reports errStreamWiring.
 func wireStream(g *graph.Graph, p Params, leftFirst, leftCount, rightFirst, rightCount int, rng *rand.Rand) error {
 	leftDegs, rightDegs, err := levelDegrees(p, leftCount, rightCount)
 	if err != nil {
@@ -136,8 +143,8 @@ func wireStream(g *graph.Graph, p Params, leftFirst, leftCount, rightFirst, righ
 			return nil
 		}
 	}
-	return fmt.Errorf("core: could not match level [%d+%d → %d+%d] without duplicate edges in %d shuffles",
-		leftFirst, leftCount, rightFirst, rightCount, shuffleAttempts)
+	return fmt.Errorf("%w: could not match level [%d+%d → %d+%d] without duplicate edges in %d shuffles",
+		errStreamWiring, leftFirst, leftCount, rightFirst, rightCount, shuffleAttempts)
 }
 
 // streamAssign walks the shuffled stub array assigning consecutive runs to

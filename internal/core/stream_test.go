@@ -114,6 +114,54 @@ func TestStreamGenerateScreened10k(t *testing.T) {
 	}
 }
 
+// TestStreamWiringDeadEndRetried: at n=100k this graph seed's first
+// attempt wires the tiny final level into a dead end (every stub shuffle
+// leaves a duplicate edge). That is a property of the draw, so Generate
+// must discard the attempt and draw again rather than give up with
+// MaxAttempts to spare.
+func TestStreamWiringDeadEndRetried(t *testing.T) {
+	p := streamParams(100000)
+	g, st, err := Generate(p, rand.New(rand.NewPCG(5833679380957638813, 0)))
+	if err != nil {
+		t.Fatalf("Generate: %v (stats %+v)", err, st)
+	}
+	if st.Attempts < 2 || st.Discarded != st.Attempts-1 {
+		t.Errorf("stats %+v: want the dead-end attempt counted as discarded", st)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	if fs := streamDefects(g, 2); len(fs) != 0 {
+		t.Errorf("screened graph still has %d closed pairs", len(fs))
+	}
+	// Plan errors still abort: they do not depend on the draw.
+	if _, st, err := Generate(streamParams(100001), rand.New(rand.NewPCG(1, 0))); err == nil || st.Discarded != 0 {
+		t.Errorf("odd TotalNodes: err %v, stats %+v; want an immediate error", err, st)
+	}
+}
+
+// TestStreamFingerprintPins: seeds whose first attempt already wired
+// cleanly build exactly the graphs they always have — retrying wiring
+// dead ends changes nothing for them.
+func TestStreamFingerprintPins(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		seed uint64
+		fp   string
+	}{
+		{20000, 2006, "1baab2417b41987522170c9cee741de8c99f91bf35609e4af8c523efbab37bea"},
+		{100000, 2006, "fd2878d521b8f221c00def826f6666bb29f6ba89c69c22437cea0fa2821c49c0"},
+	} {
+		g, st, err := Generate(streamParams(c.n), rand.New(rand.NewPCG(c.seed, 0)))
+		if err != nil {
+			t.Fatalf("n=%d seed %d: %v", c.n, c.seed, err)
+		}
+		if fp := g.Fingerprint(); fp != c.fp || st.Attempts != 1 {
+			t.Errorf("n=%d seed %d: fingerprint %s after %d attempts, want %s after 1", c.n, c.seed, fp, st.Attempts, c.fp)
+		}
+	}
+}
+
 // TestStreamMemoryCeiling asserts the streaming construction allocates
 // O(edges), not O(n²): a quadratic intermediate at n=10,000 would cost
 // hundreds of megabytes (5000² ints alone is 200 MB); the whole build must

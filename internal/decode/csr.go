@@ -1,6 +1,11 @@
 package decode
 
-import "tornado/internal/graph"
+import (
+	"sync"
+	"sync/atomic"
+
+	"tornado/internal/graph"
+)
 
 // CSR is a flat-array (compressed sparse row) snapshot of a graph's
 // adjacency, built once and then shared read-only by any number of Kernels
@@ -28,23 +33,21 @@ type CSR struct {
 	leftOff []int32
 	leftAdj []int32
 
-	// Words is the length of a node bitmask: ceil(Total/64). leftMask holds
-	// one Words-long bitmask per node (all-zero for data nodes) with the
-	// bits of the node's left neighbors set, so a kernel can count a
-	// check's missing neighbors against an erased-set mask with a couple
-	// of AND+POPCNT operations instead of walking the adjacency list.
-	Words    int
-	leftMask []uint64
+	// Words is the length of a node bitmask: ceil(Total/64).
+	Words int
 
-	// parMask is the transpose of leftMask: one Words-long bitmask per
-	// node with the bits of the node's parents (the checks referencing
-	// it) set. Kernels intersect it with their set of active rescuer
-	// checks to find the certificate pairs an erasure breaks without
-	// walking the parent list.
-	parMask []uint64
+	// The dense mask tables (see Masks) cost 2·Total·Words words —
+	// quadratic in the node count, 2.5 GB at n=100k — and only the
+	// exhaustive scan and the scalar Kernel read them, so they are built
+	// on first demand rather than by NewCSR.
+	masksOnce  sync.Once
+	masksBuilt atomic.Bool
+	leftMask   []uint64
+	parMask    []uint64
 }
 
-// NewCSR flattens g's adjacency. The graph is not retained.
+// NewCSR flattens g's adjacency into O(edges) offset and adjacency
+// arrays. The graph is not retained.
 func NewCSR(g *graph.Graph) *CSR {
 	c := &CSR{
 		Data:    int32(g.Data),
@@ -72,33 +75,58 @@ func NewCSR(g *graph.Graph) *CSR {
 		}
 	}
 	c.Words = (g.Total + 63) / 64
-	c.leftMask = make([]uint64, g.Total*c.Words)
-	for r := g.Data; r < g.Total; r++ {
-		m := c.leftMask[r*c.Words : (r+1)*c.Words]
-		for _, l := range g.LeftNeighbors(r) {
-			m[l>>6] |= 1 << (uint(l) & 63)
-		}
-	}
-	c.parMask = make([]uint64, g.Total*c.Words)
-	for v := 0; v < g.Total; v++ {
-		m := c.parMask[v*c.Words : (v+1)*c.Words]
-		for _, p := range g.Parents(v) {
-			m[p>>6] |= 1 << (uint(p) & 63)
-		}
-	}
 	return c
 }
 
-// LeftMask returns right node r's left neighbors as a Words-long bitmask.
-// The caller must not mutate the returned slice.
-func (c *CSR) LeftMask(r int32) []uint64 {
-	return c.leftMask[int(r)*c.Words : (int(r)+1)*c.Words]
+// CSRAllocBound is the most NewCSR may allocate for a graph of the given
+// edge and node counts: twice the 8 bytes per edge and per node that the
+// two directions' int32 adjacency and offset arrays take, plus 64 KiB for
+// the struct and allocator rounding. It is linear in the graph, which is
+// the point: a CSR at archival scale costs megabytes, not the gigabytes
+// of the dense mask tables.
+func CSRAllocBound(edges, nodes int) uint64 {
+	return uint64(16*edges+16*nodes) + 64<<10
 }
 
-// ParentMask returns node v's parents (the checks referencing it) as a
-// Words-long bitmask. The caller must not mutate the returned slice.
-func (c *CSR) ParentMask(v int32) []uint64 {
-	return c.parMask[int(v)*c.Words : (int(v)+1)*c.Words]
+// Masks returns the dense per-node bitmask tables, building them on the
+// first call; concurrent callers share one build. Each table holds one
+// Words-long bitmask per node, node v's at [v*Words, (v+1)*Words):
+//
+//   - left: right node r's left neighbors (all-zero for data nodes), so a
+//     kernel counts a check's missing neighbors against an erased-set
+//     mask with a couple of AND+POPCNT operations instead of walking the
+//     adjacency list;
+//   - par: the transpose — node v's parents (the checks referencing it),
+//     which kernels intersect with a set of checks without walking the
+//     parent list.
+//
+// Callers hold on to the returned slices so their hot loops index plain
+// slices, and must not mutate them.
+func (c *CSR) Masks() (left, par []uint64) {
+	c.masksOnce.Do(c.buildMasks)
+	return c.leftMask, c.parMask
+}
+
+// MasksBuilt reports whether Masks has built the dense tables.
+func (c *CSR) MasksBuilt() bool { return c.masksBuilt.Load() }
+
+func (c *CSR) buildMasks() {
+	total, words := int(c.Total), c.Words
+	c.leftMask = make([]uint64, total*words)
+	for r := c.Data; r < c.Total; r++ {
+		m := c.leftMask[int(r)*words : int(r+1)*words]
+		for _, l := range c.LeftNeighbors(r) {
+			m[l>>6] |= 1 << (uint(l) & 63)
+		}
+	}
+	c.parMask = make([]uint64, total*words)
+	for v := int32(0); v < c.Total; v++ {
+		m := c.parMask[int(v)*words : int(v+1)*words]
+		for _, p := range c.Parents(v) {
+			m[p>>6] |= 1 << (uint(p) & 63)
+		}
+	}
+	c.masksBuilt.Store(true)
 }
 
 // Parents returns the right nodes referencing v. The caller must not

@@ -176,12 +176,11 @@ type StratifiedSampler struct {
 	c  *decode.CSR
 	sk *decode.SlicedKernel
 
-	count []int32 // count[r]: erased members of check r (+1 if r erased), valid when stamp[r] == epoch
-	stamp []int32
+	coll  []collision // coll[r]: check r's collision counter
 	epoch int32
 
-	idx     []int // current k-subset, ascending
-	scratch map[int]bool
+	idx  []int // current k-subset, in draw order
+	draw *combin.SubsetDraw
 
 	batch     []int32 // staged patterns, lane-major: batch[lane*k : lane*k+k]
 	batchLen  int     // staged lane count
@@ -194,9 +193,8 @@ func NewStratifiedSampler(c *decode.CSR) *StratifiedSampler {
 	return &StratifiedSampler{
 		c:         c,
 		sk:        decode.NewSlicedKernel(c),
-		count:     make([]int32, c.Total),
-		stamp:     make([]int32, c.Total),
-		scratch:   make(map[int]bool, 8),
+		coll:      make([]collision, c.Total),
+		draw:      combin.NewSubsetDraw(int(c.Total)),
 		pendStrat: make([]int32, decode.Lanes),
 	}
 }
@@ -245,7 +243,7 @@ func (s *StratifiedSampler) SampleBlock(ctx context.Context, k int, trials int64
 			mcFails.Add(hits - lastFlushHits)
 			lastFlushTrials, lastFlushHits = done, hits
 		}
-		combin.RandomSubset(s.idx, total, rng, s.scratch)
+		s.draw.Draw(s.idx, rng)
 		strat, certified := s.classify(k)
 		if certified {
 			blk.Strata[strat].Add(0, 1)
@@ -307,15 +305,14 @@ func (s *StratifiedSampler) classify(k int) (strat int, certified bool) {
 	// Rescue certificate: every erased data node has a parent check with
 	// collision count exactly 1 — that check is present (an erased check
 	// would count itself too) and sees no other erasure, so it rescues the
-	// node directly regardless of peel order. idx is ascending, so data
-	// nodes come first.
+	// node directly regardless of peel order.
 	for _, v := range s.idx {
 		if v >= data {
-			break
+			continue
 		}
 		rescued := false
 		for _, r := range s.c.Parents(int32(v)) {
-			if s.count[r] == 1 {
+			if s.coll[r].count == 1 {
 				rescued = true
 				break
 			}
@@ -327,15 +324,23 @@ func (s *StratifiedSampler) classify(k int) (strat int, certified bool) {
 	return strat, true
 }
 
+// collision is one check's epoch-stamped collision counter: count is the
+// number of erased members of the check (+1 if the check itself is
+// erased), valid when stamp == the sampler's epoch. Stamp and count share
+// a cache line, so a bump — a random access into an n-node array — costs
+// one cache miss at archival scale, not two.
+type collision struct{ stamp, count int32 }
+
 // bump increments the epoch-stamped collision counter of check r.
 func (s *StratifiedSampler) bump(r int32, epoch int32) int32 {
-	if s.stamp[r] != epoch {
-		s.stamp[r] = epoch
-		s.count[r] = 1
+	c := &s.coll[r]
+	if c.stamp != epoch {
+		c.stamp = epoch
+		c.count = 1
 	} else {
-		s.count[r]++
+		c.count++
 	}
-	return s.count[r]
+	return c.count
 }
 
 // flushBatch decodes the staged lanes through the bit-sliced kernel and
@@ -366,6 +371,7 @@ func (s *StratifiedSampler) flushBatch(blk *SampledBlock, k, maxWitnesses int) {
 				for i, v := range s.batch[lane*k : lane*k+k] {
 					w[i] = int(v)
 				}
+				slices.Sort(w)
 				blk.Witnesses = append(blk.Witnesses, w)
 			}
 		}

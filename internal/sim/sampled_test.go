@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"tornado/internal/combin"
@@ -38,7 +39,7 @@ func TestClassifyCertificateSound(t *testing.T) {
 			sp.idx = make([]int, k)
 			certified, evaluated := 0, 0
 			for trial := 0; trial < 4000; trial++ {
-				combin.RandomSubset(sp.idx, g.Total, rng, sp.scratch)
+				sp.draw.Draw(sp.idx, rng)
 				strat, ok := sp.classify(k)
 				if strat < 1 || strat > k {
 					t.Fatalf("seed %d k=%d: stratum %d out of range", seed, k, strat)
@@ -78,11 +79,11 @@ func TestSampledMatchesScalarVerdicts(t *testing.T) {
 	rng := rand.New(rand.NewPCG(42, uint64(k)<<32|3))
 	ref := decode.NewKernel(c)
 	idx := make([]int, k)
-	scratch := make(map[int]bool, k)
+	draw := combin.NewSubsetDraw(g.Total)
 	var hits int64
 	for i := 0; i < trials; i++ {
-		combin.RandomSubset(idx, g.Total, rng, scratch)
-		if idx[0] < g.Data && !ref.Recoverable(idx) {
+		draw.Draw(idx, rng)
+		if slices.Min(idx) < g.Data && !ref.Recoverable(idx) {
 			hits++
 		}
 	}
@@ -94,8 +95,8 @@ func TestSampledMatchesScalarVerdicts(t *testing.T) {
 		t.Fatalf("block found %d failures, scalar replay found %d", tally.Hits, hits)
 	}
 	for _, w := range blk.Witnesses {
-		if ref.Recoverable(w) {
-			t.Fatalf("witness %v is recoverable", w)
+		if !slices.IsSorted(w) || ref.Recoverable(w) {
+			t.Fatalf("witness %v is unsorted or recoverable", w)
 		}
 	}
 	if blk.Screened == 0 {
@@ -235,5 +236,29 @@ func TestSampledArchivalScale(t *testing.T) {
 	}
 	if res.Tally.Hits > 0 && len(res.Witnesses) == 0 {
 		t.Error("failures tallied but no witness recorded")
+	}
+}
+
+// TestSampledBlockLeavesMasksUnbuilt: the sampled path walks adjacency
+// only, so a SampleBlock must not make the shared CSR build its dense
+// mask tables — at archival scale they are the gigabytes the sampler
+// exists to avoid.
+func TestSampledBlockLeavesMasksUnbuilt(t *testing.T) {
+	p := core.DefaultParams()
+	p.TotalNodes = 20000
+	g, _, err := core.Generate(p, rand.New(rand.NewPCG(2006, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := decode.NewCSR(g)
+	blk, err := NewStratifiedSampler(c).SampleBlock(context.Background(), 40, 4096, 1, 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blk.Tally().Trials != 4096 {
+		t.Fatalf("block tallied %d trials, want 4096", blk.Tally().Trials)
+	}
+	if c.MasksBuilt() {
+		t.Fatal("SampleBlock built the CSR's dense mask tables")
 	}
 }

@@ -41,8 +41,9 @@ import (
 // slicedScanner is the per-range state of a sliced scan. Not safe for
 // concurrent use; ExhaustiveKCtx builds one per worker.
 type slicedScanner struct {
-	csr  *decode.CSR
-	data int32
+	csr      *decode.CSR
+	data     int32
+	leftMask []uint64 // the CSR's left-neighbor mask table (CSR.Masks)
 
 	// Incremental certificate structure of the shared suffix S (all node
 	// bitmasks are Words-long, over node IDs):
@@ -107,9 +108,11 @@ type slicedScanner struct {
 
 func newSlicedScanner(g *graph.Graph, k int, hook func(int64, []int, bool)) *slicedScanner {
 	csr := decode.NewCSR(g)
+	leftMask, _ := csr.Masks()
 	s := &slicedScanner{
 		csr:       csr,
 		data:      csr.Data,
+		leftMask:  leftMask,
 		m:         make([]int32, g.Total),
 		sufMask:   make([]uint64, csr.Words),
 		zeroCheck: make([]uint64, csr.Words),
@@ -148,6 +151,11 @@ func newSlicedScanner(g *graph.Graph, k int, hook func(int64, []int, bool)) *sli
 		}
 	}
 	return s
+}
+
+// leftMaskOf returns check q's left neighbors as a Words-long bitmask.
+func (s *slicedScanner) leftMaskOf(q int32) []uint64 {
+	return s.leftMask[int(q)*s.csr.Words : (int(q)+1)*s.csr.Words]
 }
 
 // goodInc credits check q (entering zeroCheck ∪ oneCheck) to its data
@@ -326,7 +334,7 @@ func (s *slicedScanner) runCertificate(idx []int) bool {
 			if s.oneCheck[q>>6]&(1<<(uint(q)&63)) == 0 {
 				continue
 			}
-			lm := s.csr.LeftMask(q)
+			lm := s.leftMaskOf(q)
 			qw, qb := int(q>>6), uint64(1)<<(uint(q)&63)
 			if first {
 				copy(inter, lm)
@@ -392,7 +400,7 @@ func (s *slicedScanner) certifyDeficient(suffix []int) bool {
 				continue
 			}
 			// The other missing member u of p (exactly one: m == 2).
-			lmp := s.csr.LeftMask(p)
+			lmp := s.leftMaskOf(p)
 			u := int32(-1)
 			for w := 0; w < words; w++ {
 				x := lmp[w] & s.sufMask[w]
@@ -424,7 +432,7 @@ func (s *slicedScanner) certifyDeficient(suffix []int) bool {
 				// u is an erased check: rule 2 recomputes it in round 1
 				// iff no suffix member sits among its left neighbors and
 				// the lane stays out of L(u).
-				uMask = s.csr.LeftMask(u)
+				uMask = s.leftMaskOf(u)
 				mu := uint64(0)
 				for w := 0; w < words; w++ {
 					mu |= uMask[w] & s.sufMask[w]

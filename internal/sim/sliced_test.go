@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"runtime"
@@ -382,5 +383,66 @@ func TestSlicedK6SpotCheck(t *testing.T) {
 	}
 	if got.FailureCount == 0 {
 		t.Fatalf("k=6 window [%d,%d) around witness rank %d found no failures", lo, hi, r)
+	}
+}
+
+// TestMasksOnDemandRaceFree starts mask consumers all at once over one
+// freshly built CSR: every goroutine's Kernel construction races to build
+// the dense tables, and each goroutine also runs a sliced scan over its
+// own rank range. Under -race this proves the on-demand build is safe;
+// every verdict is checked against the reference decoder.
+func TestMasksOnDemandRaceFree(t *testing.T) {
+	g := unscreened96(t, 4)
+	c := decode.NewCSR(g)
+	const workers, k = 8, 2
+	total, _ := combin.BinomialInt64(g.Total, k)
+	ranges := combin.SplitRanges(total, workers)
+	start := make(chan struct{})
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			kn := decode.NewKernel(c)
+			rng := rand.New(rand.NewPCG(uint64(w), 9))
+			erased := make([]int, 5)
+			for i := 0; i < 200; i++ {
+				for j := range erased {
+					erased[j] = rng.IntN(g.Total)
+				}
+				if got, want := kn.Recoverable(erased), decode.ReferenceRecoverable(g, erased); got != want {
+					errs <- fmt.Errorf("worker %d: Kernel says %v for %v, reference %v", w, got, erased, want)
+					return
+				}
+			}
+			lo, hi := ranges[w][0], ranges[w][1]
+			res, err := ScanRangeCtx(context.Background(), g, k, lo, hi, int(hi-lo))
+			if err != nil {
+				errs <- err
+				return
+			}
+			var want int64
+			idx := make([]int, k)
+			for r := lo; r < hi; r++ {
+				combin.GrayUnrank(idx, g.Total, r)
+				if !decode.ReferenceRecoverable(g, idx) {
+					want++
+				}
+			}
+			if res.FailureCount != want {
+				errs <- fmt.Errorf("worker %d: sliced scan of [%d,%d) found %d failures, reference %d", w, lo, hi, res.FailureCount, want)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if !c.MasksBuilt() {
+		t.Fatal("Kernel construction left the mask tables unbuilt")
 	}
 }
